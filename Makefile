@@ -1,6 +1,6 @@
 # Convenience targets for the mobile-object indexing reproduction.
 
-.PHONY: install check test service-smoke chaos-smoke subs-smoke batch-smoke service-tests chaos-tests subs-tests batch-tests batch-baseline durability-tests durability-smoke soak-smoke soak-tests soak-baseline rebalance-smoke rebalance-tests rebalance-baseline update-bench-smoke update-tests update-baseline parallel-smoke parallel-tests parallel-baseline serve-smoke bench figures examples results clean
+.PHONY: install check test service-smoke chaos-smoke subs-smoke batch-smoke service-tests chaos-tests subs-tests batch-tests batch-baseline durability-tests durability-smoke soak-smoke soak-tests soak-baseline rebalance-smoke rebalance-tests rebalance-baseline update-bench-smoke update-tests update-baseline parallel-smoke parallel-tests parallel-baseline serve-smoke perfbench-smoke bench figures examples results clean
 
 install:
 	python setup.py develop
@@ -231,6 +231,22 @@ update-baseline:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python -m repro serve-bench --update-bench --n 10000 \
 		--seed 42 --update-json benchmarks/results/BENCH_update.json
+
+# The repo benchmark (BENCHMARK.json) for 2 s per workload, then one
+# traced query run: fails on any non-zero exit (3 = an oracle
+# divergence), and if the traced run reads vector.evaluate_ms as 0 --
+# a refactor that moved the read path out of the tracer's reach.
+perfbench-smoke:
+	for workload in ingest query serve; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 2 --trace 0 > /dev/null || exit 1; \
+	done
+	out=$$(python3 perfbench/run.py --workload query --seed 1 \
+		--seconds 2 --trace 1) || exit 1; \
+	echo "$$out" | tail -n 1 | python3 -c 'import json, sys; \
+	ms = json.load(sys.stdin)["metrics"]["vector.evaluate_ms"]["value"]; \
+	print("perfbench-smoke: vector.evaluate_ms =", ms); \
+	sys.exit(0 if ms > 0 else 1)'
 
 bench:
 	pytest benchmarks/ --benchmark-only

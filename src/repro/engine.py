@@ -46,6 +46,7 @@ from repro.vector.ops import (
     SnapshotAt,
     Within,
     WriteOp,
+    validate_query,
 )
 
 #: Named method factories accepted by :class:`MotionDatabase`.
@@ -467,14 +468,17 @@ class MotionDatabase:
         self, y1: float, y2: float, t1: float, t2: float
     ) -> Set[int]:
         """MOR query: objects inside ``[y1, y2]`` sometime in ``[t1, t2]``."""
+        validate_query(Within(y1, y2, t1, t2))
         return self._index.query(MORQuery1D(y1, y2, t1, t2))
 
     def snapshot_at(self, y1: float, y2: float, t: float) -> Set[int]:
         """Instant query: objects inside the range exactly at ``t``."""
+        validate_query(SnapshotAt(y1, y2, t))
         return self._index.query(MOR1Query(y1, y2, t).as_mor())
 
     def nearest(self, y: float, t: float, k: int = 1) -> List[Tuple[int, float]]:
         """The ``k`` objects nearest to ``y`` at time ``t``."""
+        validate_query(Nearest(y, t, k))
         return knn_at(self._index, self._motions.__getitem__, y, t, k)
 
     def proximity_pairs(
@@ -533,11 +537,16 @@ class MotionDatabase:
         one consistent view of the population; otherwise each
         operation takes the scalar path.  Either way the answers are
         identical — the batch API changes throughput, not semantics.
+        Every operation is validated first
+        (:func:`~repro.vector.ops.validate_query`).
         """
+        for op in queries:
+            validate_query(op)
         if self._columns is not None:
-            from repro.vector.evaluate import evaluate_batch
+            from repro.vector.evaluate import evaluate_batch, merge
 
-            return evaluate_batch(self._columns, queries)
+            partials = evaluate_batch(self._columns, queries)
+            return [merge(op, [p]) for op, p in zip(queries, partials)]
         return self._query_batch_scalar(queries)
 
     def _query_batch_scalar(self, queries: List[QueryOp]) -> List:

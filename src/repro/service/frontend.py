@@ -44,7 +44,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.io_sim.stats import IOSnapshot
-from repro.vector.ops import Nearest, ProximityPairs, QueryOp, SnapshotAt, Within
+from repro.vector.ops import (
+    Nearest,
+    ProximityPairs,
+    QueryOp,
+    SnapshotAt,
+    Within,
+    validate_query,
+)
 
 __all__ = ["AsyncFrontend", "FrontendConfig", "Overloaded"]
 
@@ -220,10 +227,13 @@ class AsyncFrontend:
         Admission is instantaneous: either the queue has room now, or
         the request sheds — the caller never blocks on a full queue
         (that wait *is* the unbounded buffer this layer exists to
-        remove).
+        remove).  A malformed operation raises here
+        (:func:`~repro.vector.ops.validate_query`), before admission,
+        so it cannot fail the other requests of its batch.
         """
         if self._dispatcher is None or self._stopping:
             raise RuntimeError("frontend is not running")
+        validate_query(op)
         future: "asyncio.Future" = asyncio.get_running_loop().create_future()
         request = _Request(op, future)
         try:

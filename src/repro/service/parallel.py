@@ -6,17 +6,18 @@ one interpreter, so a multi-shard service gains nothing from threads.
 context — no inherited locks or listeners) each own a lane of shards
 (``shard % workers``), attach the shards' shared-memory column
 segments (:mod:`repro.vector.shm`) by name, and run the *same*
-:func:`repro.vector.evaluate.evaluate_arrays` dispatch the in-process
+:func:`repro.vector.evaluate.evaluate_partial` dispatch the in-process
 path uses — which is what keeps pooled answers byte-identical to the
-``workers=0`` leg.
+``workers=0`` leg once the service merges them.
 
 Protocol (all small, picklable tuples):
 
 * task: ``(task_id, shard, segment_name, ops)`` on the worker's own
   task queue;
 * result: ``(task_id, shard, ok, payload, elapsed_s)`` on the worker's
-  own result queue — ``payload`` is the per-op answer list on success
-  or a ``repr`` of the worker-side exception.
+  own result queue — ``payload`` is the per-op partial list on success
+  (numpy arrays: matching oids, or k-NN ``(oid, dist)`` candidates) or
+  a ``repr`` of the worker-side exception.
 
 Each worker has private queues on purpose: a worker SIGKILLed while
 writing into a *shared* queue could die holding its write lock and
@@ -65,7 +66,7 @@ class WorkerCrashError(RuntimeError):
     shards:
         Sorted shard ids whose answers are missing.
     partial:
-        ``{shard: answers}`` for the sub-batches that did complete —
+        ``{shard: partials}`` for the sub-batches that did complete —
         the caller decides whether to salvage or discard them.
     """
 
@@ -84,7 +85,7 @@ def _worker_main(task_q, result_q) -> None:
     Imports live here (not at module top) so the parent's import of
     this module stays cheap and the spawn cost is paid in the child.
     """
-    from repro.vector.evaluate import evaluate_arrays
+    from repro.vector.evaluate import evaluate_partial
     from repro.vector.shm import attach_segment, read_snapshot
 
     segments: "Dict[str, object]" = {}
@@ -106,7 +107,7 @@ def _worker_main(task_q, result_q) -> None:
                 shm = attach_segment(name)
                 segments[name] = shm
             oid, y0, v, t0, _version = read_snapshot(shm)
-            answers = [evaluate_arrays(oid, y0, v, t0, op) for op in ops]
+            answers = [evaluate_partial(oid, y0, v, t0, op) for op in ops]
             elapsed = time.perf_counter() - start
             result_q.put((task_id, shard, True, answers, elapsed))
         except BaseException as exc:  # noqa: BLE001 - forwarded verbatim
@@ -239,7 +240,8 @@ class WorkerPool:
     ) -> Tuple[Dict[int, List], Dict[int, float]]:
         """Run one batch: ``(shard, segment_name, ops)`` per shard.
 
-        Returns ``(answers, elapsed)`` — ``{shard: [answer per op]}``
+        Returns ``(answers, elapsed)`` — ``{shard: [partial per op]}``
+        (:func:`repro.vector.evaluate.merge` turns them into answers)
         and ``{shard: worker-side compute seconds}``.  Raises
         :class:`WorkerCrashError` (carrying every completed sub-batch)
         if any lane's worker dies or exceeds ``timeout_s``; failed

@@ -74,13 +74,13 @@ from repro.storage.backend import FileWALBackend
 from repro.vector.ops import (
     DeregisterOp,
     Nearest,
-    ProximityPairs,
     QueryOp,
     RegisterOp,
     ReportOp,
     SnapshotAt,
     Within,
     WriteOp,
+    validate_query,
 )
 
 UP = "up"
@@ -1041,6 +1041,7 @@ class FaultTolerantMotionService(ShardedMotionService):
         return PartialResult(value=value, unavailable_shards=unavailable)
 
     def within(self, y1, y2, t1, t2):
+        validate_query(Within(y1, y2, t1, t2))
         with self.metrics.span("within") as span:
             result, answered = self._fanout_union(
                 "within", lambda db: db.within(y1, y2, t1, t2), span
@@ -1048,6 +1049,7 @@ class FaultTolerantMotionService(ShardedMotionService):
             return self._degrade("within", result, answered)
 
     def snapshot_at(self, y1, y2, t):
+        validate_query(SnapshotAt(y1, y2, t))
         with self.metrics.span("snapshot_at") as span:
             result, answered = self._fanout_union(
                 "snapshot_at", lambda db: db.snapshot_at(y1, y2, t), span
@@ -1064,6 +1066,7 @@ class FaultTolerantMotionService(ShardedMotionService):
     def nearest(self, y, t, k=1):
         """Global k-NN over reachable replicas; duplicates from
         replication collapse by object id before the re-rank."""
+        validate_query(Nearest(y, t, k))
         with self.metrics.span("nearest") as span:
             best: Dict[int, float] = {}
             answered: Set[int] = set()
@@ -1137,8 +1140,8 @@ class FaultTolerantMotionService(ShardedMotionService):
 
         With no fault injector armed and every shard up, the base
         implementation (one kernel invocation per shard, result cache
-        in front) is used as-is — its keyed k-NN merge already
-        collapses replica duplicates.  Otherwise each operation takes
+        in front) is used as-is — its merge already collapses replica
+        duplicates by oid.  Otherwise each operation takes
         the scalar query path, which carries the full fault machinery
         (retries, breakers, failover, :class:`PartialResult`
         degradation); degraded answers bypass the result cache so a
@@ -1163,19 +1166,9 @@ class FaultTolerantMotionService(ShardedMotionService):
             results = super().query_batch(ops)
             if not self.down_shards():
                 return results
-        results = []
         for op in ops:
-            if isinstance(op, Within):
-                results.append(self.within(op.y1, op.y2, op.t1, op.t2))
-            elif isinstance(op, SnapshotAt):
-                results.append(self.snapshot_at(op.y1, op.y2, op.t))
-            elif isinstance(op, Nearest):
-                results.append(self.nearest(op.y, op.t, op.k))
-            elif isinstance(op, ProximityPairs):
-                results.append(self.proximity_pairs(op.d, op.t1, op.t2))
-            else:
-                raise TypeError(f"unknown query operation {op!r}")
-        return results
+            validate_query(op)
+        return self._answer_each(ops)
 
     # -- failure administration --------------------------------------------------
 

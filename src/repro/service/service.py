@@ -13,7 +13,10 @@ and queries fan out and merge:
 * ``nearest`` — each shard reports its own exact top-``k``; the
   candidates are re-ranked globally by ``(distance, oid)`` and cut to
   ``k``.  Ties at equal distance break toward the smaller object id,
-  matching :func:`repro.extensions.neighbors.knn_at`;
+  matching :func:`repro.extensions.neighbors.knn_at`.  The batch path
+  (:meth:`~ShardedMotionService.query_batch`) instead has each shard
+  return raw numpy partials and builds every answer with one
+  :func:`repro.vector.evaluate.merge`;
 * ``proximity_pairs`` — within-shard pairs come from each shard's own
   self-join; cross-shard pairs come from candidate exchange: shard
   ``i`` ships its population as the outer relation of a directed
@@ -71,7 +74,13 @@ from repro.vector.ops import (
     SnapshotAt,
     Within,
     WriteOp,
+    validate_query,
 )
+
+try:  # the columnar read path; absent without numpy
+    from repro.vector import evaluate as vector_eval
+except ImportError:  # pragma: no cover - exercised only without numpy
+    vector_eval = None
 
 #: Router factories selectable by name (``router="velocity"``).
 ROUTER_FACTORIES: Dict[str, Callable[[int, float], ShardRouter]] = {
@@ -83,16 +92,6 @@ ROUTER_FACTORIES: Dict[str, Callable[[int, float], ShardRouter]] = {
 
 def _no_hook(point: str) -> None:
     """Default (disarmed) migration crash-point hook."""
-
-
-def _empty_answer(op: QueryOp):
-    """The empty per-shard answer for one shardable operation.
-
-    Used as a placeholder for lanes lost to a worker death when the
-    fault-tolerant policy discards the batch anyway — an empty set /
-    list merges as a no-op and can never invent an object.
-    """
-    return [] if isinstance(op, Nearest) else set()
 
 
 class ShardedMotionService:
@@ -123,8 +122,8 @@ class ShardedMotionService:
         and :meth:`query_batch` fans per-shard sub-batches over the
         pool.  ``workers=0`` (default) keeps the in-process path —
         pooled answers are byte-identical to it by construction
-        (same :func:`~repro.vector.evaluate.evaluate_arrays`
-        dispatch either way).
+        (same :func:`~repro.vector.evaluate.evaluate_partial`
+        dispatch and the same merge either way).
     """
 
     def __init__(
@@ -938,6 +937,7 @@ class ShardedMotionService:
         self, y1: float, y2: float, t1: float, t2: float
     ) -> Set[int]:
         """MOR query, fanned out; per-shard answers union (disjoint)."""
+        validate_query(Within(y1, y2, t1, t2))
         with self.metrics.span("within") as span:
             result: Set[int] = set()
             for i, shard in enumerate(self._shards):
@@ -949,6 +949,7 @@ class ShardedMotionService:
 
     def snapshot_at(self, y1: float, y2: float, t: float) -> Set[int]:
         """Instant query, fanned out and unioned."""
+        validate_query(SnapshotAt(y1, y2, t))
         with self.metrics.span("snapshot_at") as span:
             result: Set[int] = set()
             for i, shard in enumerate(self._shards):
@@ -970,6 +971,7 @@ class ShardedMotionService:
         migration's double-write window) contributes one candidate,
         not two.
         """
+        validate_query(Nearest(y, t, k))
         with self.metrics.span("nearest") as span:
             best: Dict[int, float] = {}
             for i, shard in enumerate(self._shards):
@@ -1054,24 +1056,29 @@ class ShardedMotionService:
           repeated queries inside and across batches skip the shards
           entirely.
 
+        Each shard returns raw numpy partials
+        (:func:`~repro.vector.evaluate.evaluate_batch`) and one
+        :func:`~repro.vector.evaluate.merge` per query builds the final
+        answer, deduplicated by oid (replicas, migration windows).
         ``ProximityPairs`` operations need cross-shard candidate
         exchange and are delegated to :meth:`proximity_pairs`; they
-        still participate in the cache.
+        still participate in the cache.  Every operation is validated
+        before any shard is touched
+        (:func:`~repro.vector.ops.validate_query`): a NaN parameter,
+        a non-finite k-NN point or an empty range raises
+        ``InvalidQueryError``.
 
-        Metrics caveat: with the columnar mirror active the pushed-down
-        batch is answered by in-memory kernels that never touch the
-        simulated disk pages, so the ``query_batch`` span's per-shard
-        I/O is near zero by construction.  It is **not comparable** to
-        the scalar operations' ``shard_io`` — use wall-clock throughput
-        (``serve-bench --batch``) to compare the two legs, not I/O
-        counts.
+        I/O figure: the columnar kernels never touch the simulated disk
+        pages, so the ``query_batch`` span's per-shard page I/O is not
+        comparable to the scalar operations'.  The vector path's own
+        figure is in ``service_stats()["metrics"]["counters"]``:
+        ``vector_rows_scanned`` (rows each shard's kernels passed over)
+        and ``vector_knn_candidates`` (k-NN rows carried to the merge;
+        ``k`` per shard and query unless distances tie at the boundary).
         """
         with self.metrics.span("query_batch") as span:
             for op in ops:
-                if not isinstance(
-                    op, (Within, SnapshotAt, Nearest, ProximityPairs)
-                ):
-                    raise TypeError(f"unknown query operation {op!r}")
+                validate_query(op)
             now = self.now
             results: List = [None] * len(ops)
             misses: "Dict[QueryOp, List[int]]" = {}
@@ -1107,17 +1114,21 @@ class ShardedMotionService:
             return results
 
     def _inline_shard_answers(self, s: int, batch: List[QueryOp], span) -> List:
-        """One shard's sub-batch on the in-process path (under its lock)."""
+        """One shard's partials on the in-process path (under its lock)."""
         shard = self._shards[s]
         with self._locks[s]:
             before = shard.io_snapshot()
             start = time.perf_counter()
-            answers = shard.query_batch(batch)
+            rows = len(shard.columns)
+            partials = vector_eval.evaluate_batch(shard.columns, batch)
             self.metrics.record_shard_latency(
                 s, "query_batch.compute", time.perf_counter() - start
             )
             span.add_shard_io(s, shard.io_delta_since(before))
-        return answers
+        self.metrics.counter("vector_rows_scanned").increment(
+            rows * len(batch)
+        )
+        return partials
 
     def _handle_worker_death(self, shards: List[int]) -> bool:
         """Policy hook for pool-worker failure.
@@ -1136,12 +1147,12 @@ class ShardedMotionService:
         return True
 
     def _per_shard_answers(self, batch: List[QueryOp], span) -> List[List]:
-        """Each shard's answers to ``batch``: pooled when possible.
+        """Each shard's partials for ``batch``: pooled when possible.
 
         With a worker pool, every shard whose mirror is a shared
         segment is dispatched as one pool task (the worker snapshots
         the segment under its seqlock and runs the same
-        ``evaluate_arrays`` dispatch as the inline leg); the rest —
+        ``evaluate_partial`` dispatch as the inline leg); the rest —
         and any lane lost to a worker death, when
         :meth:`_handle_worker_death` says so — are computed inline
         under the shard lock.  ``workers=0`` is exactly the old
@@ -1150,25 +1161,33 @@ class ShardedMotionService:
         n = len(self._shards)
         per_shard: List[Optional[List]] = [None] * n
         tasks = []
+        rows = 0
         if self._pool is not None:
             for s in range(n):
-                name = getattr(
-                    self._shards[s].columns, "segment_name", None
-                )
+                columns = self._shards[s].columns
+                name = getattr(columns, "segment_name", None)
                 if name is not None:
                     tasks.append((s, name, batch))
+                    # The rows at dispatch; the worker's snapshot may
+                    # differ by the writes that race it.
+                    rows += len(columns)
         if tasks:
             self.metrics.counter("parallel_tasks").increment(len(tasks))
+            self.metrics.counter("vector_rows_scanned").increment(
+                rows * len(batch)
+            )
             try:
                 answers, elapsed = self._pool.query_shards(tasks)
             except WorkerCrashError as exc:
                 answers, elapsed = exc.partial, {}
                 if not self._handle_worker_death(exc.shards):
-                    # Placeholder answers: the fault-tolerant caller
+                    # Placeholder partials: the fault-tolerant caller
                     # has marked these shards down and will discard
                     # the whole batch for its degraded path.
                     for s in exc.shards:
-                        answers[s] = [_empty_answer(op) for op in batch]
+                        answers[s] = [
+                            vector_eval.empty_partial(op) for op in batch
+                        ]
             for s, shard_answers in answers.items():
                 per_shard[s] = shard_answers
                 if s in elapsed:
@@ -1181,7 +1200,9 @@ class ShardedMotionService:
         return per_shard
 
     def _compute_batch(self, ops: List[QueryOp], span) -> List:
-        """Evaluate cache-missed operations: shard push-down + merge."""
+        """Evaluate cache-missed operations: shard partials, one merge each."""
+        if vector_eval is None:  # pragma: no cover - no numpy
+            return self._answer_each(ops)
         results: List = [None] * len(ops)
         shardable = [
             (i, op)
@@ -1191,27 +1212,33 @@ class ShardedMotionService:
         if shardable:
             batch = [op for _, op in shardable]
             per_shard = self._per_shard_answers(batch, span)
+            candidates = 0
             for j, (slot, op) in enumerate(shardable):
+                partials = [answers[j] for answers in per_shard]
                 if isinstance(op, Nearest):
-                    # Keyed merge: replicas (the fault-tolerant
-                    # subclass reuses this path) collapse by oid
-                    # before the global (distance, oid) re-rank.
-                    best: Dict[int, float] = {}
-                    for answers in per_shard:
-                        for oid, dist in answers[j]:
-                            best[oid] = dist
-                    ranked = sorted(
-                        best.items(), key=lambda p: (p[1], p[0])
-                    )
-                    results[slot] = ranked[: op.k]
-                else:
-                    merged: Set[int] = set()
-                    for answers in per_shard:
-                        merged |= answers[j]
-                    results[slot] = merged
+                    candidates += sum(p[0].size for p in partials)
+                results[slot] = vector_eval.merge(op, partials)
+            if candidates:
+                self.metrics.counter("vector_knn_candidates").increment(
+                    candidates
+                )
         for i, op in enumerate(ops):
             if isinstance(op, ProximityPairs):
                 results[i] = self.proximity_pairs(op.d, op.t1, op.t2)
+        return results
+
+    def _answer_each(self, ops: Sequence[QueryOp]) -> List:
+        """Answer op by op through the scalar fan-out methods."""
+        results = []
+        for op in ops:
+            if isinstance(op, Within):
+                results.append(self.within(op.y1, op.y2, op.t1, op.t2))
+            elif isinstance(op, SnapshotAt):
+                results.append(self.snapshot_at(op.y1, op.y2, op.t))
+            elif isinstance(op, Nearest):
+                results.append(self.nearest(op.y, op.t, op.k))
+            else:
+                results.append(self.proximity_pairs(op.d, op.t1, op.t2))
         return results
 
     # -- accounting -------------------------------------------------------------
@@ -1270,7 +1297,9 @@ class ShardedMotionService:
 
         Note that the ``query_batch`` row's ``shard_io`` reflects the
         columnar fast path (no simulated index I/O), so it does not
-        compare against the scalar rows' I/O; see :meth:`query_batch`.
+        compare against the scalar rows' I/O; that path's own figure
+        is the ``vector_rows_scanned`` / ``vector_knn_candidates``
+        counters (see :meth:`query_batch`).
         """
         shard_state = []
         for i, shard in enumerate(self._shards):

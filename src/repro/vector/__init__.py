@@ -4,8 +4,9 @@ The columnar fast path for the paper's dual-space predicates: a
 structure-of-arrays mirror of the live population
 (:class:`MotionColumns`), whole-population kernels for the Hough-X
 wedge / Hough-Y b-range / snapshot / k-NN / proximity predicates
-(:mod:`repro.vector.kernels`), a shared batch-query vocabulary
-(:mod:`repro.vector.ops`), a versioned memoizing result cache
+(:mod:`repro.vector.kernels`), per-store partial answers merged once
+per query (:mod:`repro.vector.evaluate`), a shared batch-query
+vocabulary (:mod:`repro.vector.ops`), a versioned memoizing result cache
 (:class:`QueryResultCache`), and a shared-memory variant of the store
 (:class:`SharedMotionColumns`) whose rows worker processes can read
 without pickling (:mod:`repro.vector.shm`).
@@ -24,6 +25,7 @@ from repro.vector.ops import (
     SnapshotAt,
     Within,
     query_key,
+    validate_query,
 )
 
 try:  # numpy-dependent fast path
@@ -31,7 +33,9 @@ try:  # numpy-dependent fast path
     from repro.vector.evaluate import (
         evaluate_arrays,
         evaluate_batch,
+        evaluate_partial,
         evaluate_query,
+        merge,
     )
     from repro.vector.shm import SharedMotionColumns, TornSegmentError
 
@@ -42,7 +46,9 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     TornSegmentError = None  # type: ignore[assignment]
     evaluate_arrays = None  # type: ignore[assignment]
     evaluate_batch = None  # type: ignore[assignment]
+    evaluate_partial = None  # type: ignore[assignment]
     evaluate_query = None  # type: ignore[assignment]
+    merge = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
 __all__ = [
@@ -58,6 +64,9 @@ __all__ = [
     "Within",
     "evaluate_arrays",
     "evaluate_batch",
+    "evaluate_partial",
     "evaluate_query",
+    "merge",
     "query_key",
+    "validate_query",
 ]

@@ -20,9 +20,11 @@ object:
   ``b``-range prefilter (with its bounded false-positive area ``E``)
   and the exact dual filter that removes those false positives.
 * :func:`snapshot_mask` — the MOR1 instant test (§3.6).
-* :func:`knn_distances` / :func:`knn_select` — batched k-NN at a
-  future instant, with the ``(distance, oid)`` tie-break of
-  :func:`repro.extensions.neighbors.knn_at`.
+* :func:`knn_distances` / :func:`knn_candidates` /
+  :func:`rank_candidates` / :func:`knn_select` — batched k-NN at a
+  future instant: an O(n) partition to the boundary-inclusive
+  candidates, then a sort of those alone, with the ``(distance,
+  oid)`` tie-break of :func:`repro.extensions.neighbors.knn_at`.
 * :func:`proximity_pair_mask` / :func:`proximity_pairs_blocked` — the
   pairwise proximity prefilter: the relative motion of two linear
   motions is linear, so the window-minimum gap of every pair is an
@@ -197,20 +199,52 @@ def knn_distances(
     return np.abs(y0 + v * (t - t0) - y)
 
 
+def knn_candidates(
+    oid: np.ndarray, dist: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row that can rank in the top-``k`` by ``(distance, oid)``.
+
+    ``np.partition`` finds the ``k``-th smallest distance in O(n); the
+    candidates are all rows at or below it, so ties straddling the
+    boundary survive and the oid tie-break stays exact for whoever
+    ranks them.  Returns fresh ``(oid, dist)`` arrays (never views of
+    the inputs) of ``k`` rows plus any boundary ties; every row when
+    the population is at most ``k`` or the ``k``-th distance is NaN (a
+    NaN threshold would compare false against every row).
+    """
+    n = oid.size
+    if k <= 0 or n == 0:
+        return oid[:0].copy(), dist[:0].copy()
+    if k < n:
+        kth = np.partition(dist, k - 1)[k - 1]
+        if kth == kth:  # not NaN
+            keep = dist <= kth
+            return oid[keep], dist[keep]
+    return oid.copy(), dist.copy()
+
+
+def rank_candidates(
+    oid: np.ndarray, dist: np.ndarray, k: int
+) -> List[Tuple[int, float]]:
+    """The first ``k`` of ``(oid, dist)`` rows by ``(distance, oid)``.
+
+    O(c log c) in the number of rows ``c``; oids must be unique.
+    """
+    # lexsort keys are least-significant first: oid breaks dist ties.
+    order = np.lexsort((oid, dist))[:k]
+    return list(zip(oid[order].tolist(), dist[order].tolist()))
+
+
 def knn_select(
     oid: np.ndarray, dist: np.ndarray, k: int
 ) -> List[Tuple[int, float]]:
     """Top-``k`` by ``(distance, oid)`` — the exact knn_at tie-break.
 
     Returns ``[(oid, distance), ...]``; fewer than ``k`` entries when
-    the population is smaller.
+    the population is smaller.  O(n + c log c), where ``c`` is the
+    boundary-inclusive candidate count of :func:`knn_candidates`.
     """
-    if k <= 0 or oid.size == 0:
-        return []
-    k = min(k, oid.size)
-    # lexsort keys are least-significant first: oid breaks dist ties.
-    order = np.lexsort((oid, dist))[:k]
-    return [(int(oid[i]), float(dist[i])) for i in order]
+    return rank_candidates(*knn_candidates(oid, dist, k), k)
 
 
 # -- pairwise proximity -------------------------------------------------------

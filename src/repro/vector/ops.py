@@ -17,8 +17,11 @@ need the array stack, the vocabulary does not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
+
+from repro.errors import InvalidQueryError
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,36 @@ class ProximityPairs:
 
 
 QueryOp = Union[Within, SnapshotAt, Nearest, ProximityPairs]
+
+
+def validate_query(op: QueryOp) -> None:
+    """Reject what no answer path can rank or bound consistently.
+
+    Raises ``TypeError`` for anything outside the query vocabulary,
+    and :class:`~repro.errors.InvalidQueryError` for a NaN in any
+    field of a ``Within`` / ``SnapshotAt`` / ``Nearest`` (every
+    comparison against NaN is false, so the index and the kernels
+    would each answer something different), for a non-finite
+    ``Nearest.y`` or ``Nearest.t`` (every distance would be infinite
+    or NaN), and for an empty y-range or time window (the scalar
+    query types reject those; the kernels would answer ``set()``).
+    The batch and scalar read paths both call it before touching a
+    shard.
+    """
+    if isinstance(op, ProximityPairs):
+        return
+    if not isinstance(op, (Within, SnapshotAt, Nearest)):
+        raise TypeError(f"unknown query operation {op!r}")
+    if any(value != value for value in vars(op).values()):
+        raise InvalidQueryError(f"NaN query parameter in {op!r}")
+    if isinstance(op, Nearest):
+        if not (math.isfinite(op.y) and math.isfinite(op.t)):
+            raise InvalidQueryError(f"non-finite k-NN query point in {op!r}")
+        return
+    if op.y1 > op.y2:
+        raise InvalidQueryError(f"empty y-range [{op.y1}, {op.y2}]")
+    if isinstance(op, Within) and op.t1 > op.t2:
+        raise InvalidQueryError(f"empty time window [{op.t1}, {op.t2}]")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.errors import InvalidQueryError
 from repro.service import (
     AsyncFrontend,
     FaultTolerantMotionService,
@@ -177,6 +178,26 @@ def test_submit_before_start_raises():
             await frontend.submit(SnapshotAt(0.0, 10.0, 1.0))
 
     asyncio.run(drive())
+
+
+def test_malformed_request_fails_alone_before_admission():
+    service = make_service()
+    good = SnapshotAt(0.0, Y_MAX, 1.0)
+
+    async def drive():
+        async with AsyncFrontend(
+            service, FrontendConfig(health_every_s=0.0)
+        ) as frontend:
+            bad = frontend.submit(Nearest(float("nan"), 1.0, 3))
+            answers = await asyncio.gather(
+                frontend.submit(good), bad, return_exceptions=True
+            )
+        return answers
+
+    answer, error = asyncio.run(drive())
+    assert answer == service.query_batch([good])[0]
+    assert isinstance(error, InvalidQueryError)
+    assert service.metrics.counter("frontend_failed").value == 0
 
 
 def test_dispatch_failure_propagates_per_request():

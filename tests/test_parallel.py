@@ -30,7 +30,7 @@ from repro.service import (
     WorkerPool,
 )
 from repro.vector.columns import _MIN_CAPACITY, MotionColumns
-from repro.vector.evaluate import evaluate_arrays
+from repro.vector.evaluate import evaluate_arrays, merge
 from repro.vector.ops import Nearest, RegisterOp, SnapshotAt, Within
 from repro.vector.shm import (
     SharedMotionColumns,
@@ -40,6 +40,8 @@ from repro.vector.shm import (
     read_snapshot,
     segment_size,
 )
+
+from .helpers import grid_motions, grid_queries, oracle_answer
 
 pytestmark = pytest.mark.parallel
 
@@ -64,6 +66,11 @@ def mixed_queries(rng, count):
         else:
             ops.append(Nearest(y1, t1, k=rng.randint(1, 5)))
     return ops
+
+
+def merged(ops, partials):
+    """One store's partials as final answers."""
+    return [merge(op, [p]) for op, p in zip(ops, partials)]
 
 
 def rows_by_oid(columns):
@@ -298,7 +305,7 @@ def test_pool_answers_match_inline_dispatch(pool2):
         assert all(took >= 0.0 for took in elapsed.values())
         for shard, store in enumerate(stores):
             want = [evaluate_arrays(*store.arrays(), op) for op in ops]
-            assert answers[shard] == want
+            assert merged(ops, answers[shard]) == want
     finally:
         for store in stores:
             store.close()
@@ -328,7 +335,7 @@ def test_worker_reports_bad_segment_instead_of_dying(pool2):
         store.upsert(1, random_motion(rng))
         ops = mixed_queries(rng, 3)
         answers, _ = pool2.query_shards([(0, store.segment_name, ops)])
-        assert answers[0] == [
+        assert merged(ops, answers[0]) == [
             evaluate_arrays(*store.arrays(), op) for op in ops
         ]
     finally:
@@ -366,6 +373,36 @@ def test_pooled_service_is_byte_identical(pool2, pool4, shards, seed):
             assert pooled.query_batch(stream) == want
         finally:
             pooled.close()
+
+
+@pytest.mark.parametrize("width", [0, 2])
+def test_pooled_merge_matches_oracle_with_boundary_ties(pool2, width):
+    """Grid motions tie k-NN distances at the k-th place on every
+    shard; the shards' boundary-inclusive candidates, shipped as
+    arrays (through the pool at width 2), merge to the oracle's
+    ``(distance, oid)`` prefix."""
+    rng = random.Random(83)
+    motions = grid_motions(rng, 160)
+    service = ShardedMotionService(
+        Y_MAX, V_MIN, V_MAX, shards=4, cache_capacity=0,
+        pool=pool2 if width else None,
+    )
+    try:
+        service.apply_batch(
+            [RegisterOp(oid, m.y0, m.v, m.t0) for oid, m in motions.items()]
+        )
+        ops = grid_queries(rng, 45)
+        want = [oracle_answer(motions, op) for op in ops]
+        assert service.query_batch(ops) == want
+        counters = service.service_stats()["metrics"]["counters"]
+        k_total = sum(op.k for op in ops if isinstance(op, Nearest))
+        # Every shard holds more than k rows, so each carries k
+        # candidates per query plus its boundary ties — which the
+        # grid makes sure happen.
+        assert counters["vector_knn_candidates"] > 4 * k_total
+        assert counters["vector_rows_scanned"] == len(motions) * len(ops)
+    finally:
+        service.close()
 
 
 def test_pooled_service_owns_and_closes_its_pool():

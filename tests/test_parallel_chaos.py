@@ -29,6 +29,7 @@ from repro.service import (
     WorkerCrashError,
     WorkerPool,
 )
+from repro.vector.evaluate import merge
 from repro.vector.ops import Nearest, RegisterOp, SnapshotAt, Within
 from repro.vector.shm import SharedMotionColumns
 
@@ -111,7 +112,11 @@ def test_pool_raises_named_crash_and_respawns():
         answers, _ = pool.query_shards(
             [(0, store.segment_name, ops), (1, store.segment_name, ops)]
         )
-        assert answers[0] == answers[1] == excinfo.value.partial[1]
+        merged = [
+            [merge(op, [p]) for op, p in zip(ops, partials)]
+            for partials in (answers[0], answers[1], excinfo.value.partial[1])
+        ]
+        assert merged[0] == merged[1] == merged[2]
     finally:
         store.close()
         pool.close()

@@ -28,6 +28,8 @@ from repro.vector.cache import QueryResultCache
 from repro.vector.ops import Nearest, ProximityPairs, SnapshotAt, Within
 from repro import MotionDatabase
 
+from .helpers import grid_motions, grid_queries, oracle_answer
+
 pytestmark = pytest.mark.batch
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
@@ -225,6 +227,60 @@ class TestServiceBatch:
         with pytest.raises(TypeError):
             service.query_batch(["within"])
 
+    def test_vector_io_counters(self):
+        service, rng = self.make(cache_capacity=0)
+        ops = [
+            Within(0.0, Y_MAX, 5.0, 10.0),
+            Nearest(500.0, 5.0, k=4),
+            ProximityPairs(3.0, 6.0, 9.0),  # not a shard scan
+        ]
+        service.query_batch(ops)
+        counters = service.service_stats()["metrics"]["counters"]
+        assert counters["vector_rows_scanned"] == 60 * 2
+        # 3 shards of ~20 rows, random float distances: no ties.
+        assert counters["vector_knn_candidates"] == 3 * 4
+
+
+#: Parameters that used to make the batch and scalar paths disagree
+#: (the batch kernels compare false against NaN, the index and knn_at
+#: do not; the scalar snapshot rejects an empty y-range, the kernel
+#: answered ``set()``), and the scalar call that must agree.
+MALFORMED = [
+    (SnapshotAt(50.0, 10.0, 1.0), "snapshot_at", (50.0, 10.0, 1.0)),
+    (SnapshotAt(0.0, float("nan"), 1.0), "snapshot_at", (0.0, float("nan"), 1.0)),
+    (Within(float("nan"), 10.0, 0.0, 1.0), "within", (float("nan"), 10.0, 0.0, 1.0)),
+    (Within(0.0, 10.0, 0.0, float("nan")), "within", (0.0, 10.0, 0.0, float("nan"))),
+    (Nearest(float("nan"), 1.0, 3), "nearest", (float("nan"), 1.0, 3)),
+    (Nearest(5.0, float("inf"), 3), "nearest", (5.0, float("inf"), 3)),
+    (Nearest(float("-inf"), 1.0, 3), "nearest", (float("-inf"), 1.0, 3)),
+    (Nearest(5.0, 1.0, float("nan")), "nearest", (5.0, 1.0, float("nan"))),
+]
+
+
+@pytest.mark.parametrize(
+    "kind", ["database", "sharded", "fault_tolerant"]
+)
+@pytest.mark.parametrize(
+    "op,method,args", MALFORMED, ids=[repr(c[0]) for c in MALFORMED]
+)
+def test_malformed_parameters_rejected_on_both_paths(kind, op, method, args):
+    if kind == "database":
+        target = MotionDatabase(Y_MAX, V_MIN, V_MAX)
+    elif kind == "sharded":
+        target = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=2)
+    else:
+        target = FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=2, replication_factor=2
+        )
+    populate(target, n=20)
+    good = SnapshotAt(0.0, Y_MAX, 1.0)
+    with pytest.raises(InvalidQueryError):
+        target.query_batch([good, op])
+    with pytest.raises(InvalidQueryError):
+        getattr(target, method)(*args)
+    # Rejection is up front: the well-formed op still answers.
+    assert target.query_batch([good]) == [set(range(20))]
+
 
 # -- concurrency: batches racing the write stream ------------------------------
 
@@ -373,6 +429,21 @@ class TestFaultTolerantBatch:
         service.query_batch([op])
         stats = service.query_cache.stats()
         assert stats["hits"] == 0 and stats["entries"] == 0
+
+    def test_replica_partials_merge_once_against_oracle(self):
+        """r=2: every object answers from two shards; the merge counts
+        each once, including k-NN candidates tied at the boundary."""
+        service = FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=2
+        )
+        rng = random.Random(29)
+        motions = grid_motions(rng, 90)
+        for oid, m in motions.items():
+            service.register(oid, m.y0, m.v, m.t0)
+        ops = grid_queries(rng, 36)
+        assert service.query_batch(ops) == [
+            oracle_answer(motions, op) for op in ops
+        ]
 
     def test_recovery_restores_fast_path(self):
         service, rng = self.make()

@@ -37,6 +37,8 @@ from repro.vector.ops import Nearest, ProximityPairs, SnapshotAt, Within
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
 
+from .helpers import grid_motions, grid_queries, oracle_answer
+
 pytestmark = pytest.mark.rebalance
 
 
@@ -160,6 +162,33 @@ def test_window_queries_merge_two_shard_ownership_and_dedup():
         False, True,
     ]
     assert service.location_of(1, 2.0) == 110.0
+
+
+def test_window_batch_merge_matches_oracle_with_ties():
+    """Batch reads while a third of the population sits on two shards:
+    the two copies' partials (k-NN candidates tied at the boundary
+    included) merge to the brute-force answers, each object once."""
+    service = make_service(shards=2, cache_capacity=0)
+    rng = random.Random(37)
+    motions = grid_motions(rng, 60)
+    for oid, m in motions.items():
+        service.register(oid, m.y0, m.v, m.t0)
+    states = [
+        service.begin_migration(oid, dest=1 - service.shard_of(oid))
+        for oid in range(0, 60, 3)
+    ]
+    try:
+        assert all(len(service.owners_of(st.oid)) == 2 for st in states)
+        ops = grid_queries(rng, 30)
+        assert service.query_batch(ops) == [
+            oracle_answer(motions, op) for op in ops
+        ]
+    finally:
+        for state in states:
+            service.commit_migration(state)
+    assert service.query_batch(ops) == [
+        oracle_answer(motions, op) for op in ops
+    ]
 
 
 def test_abort_drops_the_destination_copy_only():

@@ -16,8 +16,14 @@ from repro.core import LinearMotion1D, MobileObject1D
 from repro.errors import InvalidQueryError
 from repro.extensions.joins import brute_force_distance_join
 from repro.vector.columns import MotionColumns
-from repro.vector.evaluate import evaluate_batch, evaluate_query
+from repro.vector.evaluate import (
+    empty_partial,
+    evaluate_batch,
+    evaluate_query,
+    merge,
+)
 from repro.vector.kernels import (
+    knn_candidates,
     knn_distances,
     knn_select,
     proximity_pairs_blocked,
@@ -134,6 +140,25 @@ def test_knn_select_ties_break_toward_smaller_oid():
     assert knn_select(oid, dist, 0) == []
 
 
+def test_knn_candidates_keep_boundary_ties():
+    oid = np.array([9, 3, 5, 4, 7], dtype=np.int64)
+    dist = np.array([1.0, 1.0, 0.5, 3.0, 1.0])
+    got_oid, got_dist = knn_candidates(oid, dist, 2)
+    # k-th distance is 1.0: all three rows at 1.0 survive.
+    assert sorted(got_oid.tolist()) == [3, 5, 7, 9]
+    assert sorted(got_dist.tolist()) == [0.5, 1.0, 1.0, 1.0]
+    assert knn_candidates(oid, dist, 0)[0].tolist() == []
+    assert knn_candidates(oid, dist, 9)[0].tolist() == oid.tolist()
+
+
+def test_knn_select_falls_back_to_full_sort_on_nan_threshold():
+    oid = np.array([1, 2, 3], dtype=np.int64)
+    dist = np.array([np.nan, 0.5, np.nan])
+    assert knn_candidates(oid, dist, 2)[0].tolist() == [1, 2, 3]
+    got = knn_select(oid, dist, 2)
+    assert got[0] == (2, 0.5) and got[1][0] == 1
+
+
 def test_knn_distances_at_instant():
     columns = MotionColumns.from_motions({
         1: motion(0.0, 1.0, 0.0),   # at t=10: y=10
@@ -209,4 +234,44 @@ def test_evaluate_batch_preserves_order():
         Within(900.0, 950.0, 0.0, 1.0),
         Nearest(0.0, 0.0, k=1),
     ]
-    assert evaluate_batch(columns, ops) == [{1}, set(), [(1, 10.0)]]
+    partials = evaluate_batch(columns, ops)
+    assert [p.tolist() for p in partials[:2]] == [[1], []]
+    assert [a.tolist() for a in partials[2]] == [[1], [10.0]]
+    answers = [merge(op, [p]) for op, p in zip(ops, partials)]
+    assert answers == [{1}, set(), [(1, 10.0)]]
+
+
+def test_partials_do_not_alias_the_store():
+    columns = MotionColumns.from_motions({1: motion(10.0, 1.0, 0.0)})
+    ops = [Within(0.0, 50.0, 0.0, 1.0), Nearest(0.0, 0.0, k=3)]
+    within, (near_oid, _) = evaluate_batch(columns, ops)
+    columns.delete(1)
+    columns.upsert(2, motion(99.0))
+    assert within.tolist() == [1] and near_oid.tolist() == [1]
+
+
+# -- merge ----------------------------------------------------------------------
+
+
+def test_merge_dedups_range_partials_by_oid():
+    a = np.array([4, 1, 7], dtype=np.int64)
+    b = np.array([7, 2], dtype=np.int64)
+    op = Within(0.0, 1.0, 0.0, 1.0)
+    assert merge(op, [a, b]) == {1, 2, 4, 7}
+    assert merge(op, [a, empty_partial(op)]) == {1, 4, 7}
+    assert merge(SnapshotAt(0.0, 1.0, 0.0), [empty_partial(op)]) == set()
+
+
+def test_merge_ranks_nearest_candidates_once_per_oid():
+    op = Nearest(0.0, 0.0, k=3)
+    shard_a = (np.array([5, 3], dtype=np.int64), np.array([2.0, 1.0]))
+    # oid 3 again (a replica / migration copy) plus a boundary tie.
+    shard_b = (np.array([3, 9, 8], dtype=np.int64), np.array([1.0, 2.0, 2.0]))
+    assert merge(op, [shard_a, shard_b]) == [(3, 1.0), (5, 2.0), (8, 2.0)]
+    assert merge(op, [shard_a, empty_partial(op)]) == [(3, 1.0), (5, 2.0)]
+
+
+def test_merge_unions_proximity_pairs():
+    op = ProximityPairs(1.0, 0.0, 1.0)
+    assert merge(op, [{(1, 2)}, {(1, 2), (3, 4)}]) == {(1, 2), (3, 4)}
+    assert merge(op, [empty_partial(op)]) == set()

@@ -191,12 +191,32 @@ def test_b_range_prefilter_is_superset_of_exact(ms, query):
 # -- k-NN ---------------------------------------------------------------------
 
 
+#: Integer-grid motions: at an integer instant every position is an
+#: integer, so distances from an integer point tie — often at the
+#: k-th place, where the partition threshold must keep every tie.
+grid_motions = st.builds(
+    LinearMotion1D,
+    y0=st.integers(min_value=0, max_value=30).map(float),
+    v=st.sampled_from([-1.0, 0.0, 1.0]),
+    t0=st.integers(min_value=0, max_value=5).map(float),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    ms=st.lists(any_motions, max_size=25),
-    y=st.floats(min_value=0, max_value=1000),
-    t=st.floats(min_value=0, max_value=200),
-    k=st.integers(min_value=1, max_value=30),
+    ms=st.one_of(
+        st.lists(any_motions, max_size=300),
+        st.lists(grid_motions, max_size=300),
+    ),
+    y=st.one_of(
+        st.floats(min_value=0, max_value=1000),
+        st.integers(min_value=0, max_value=30).map(float),
+    ),
+    t=st.one_of(
+        st.floats(min_value=0, max_value=200),
+        st.integers(min_value=0, max_value=10).map(float),
+    ),
+    k=st.integers(min_value=1, max_value=60),
 )
 def test_knn_select_matches_scalar_ranking(ms, y, t, k):
     oid, y0, v, t0 = columns_of(ms).arrays()
