@@ -47,6 +47,7 @@ from repro.vector.ops import (
     Within,
     WriteOp,
     validate_query,
+    validate_write,
 )
 
 #: Named method factories accepted by :class:`MotionDatabase`.
@@ -184,13 +185,15 @@ class MotionDatabase:
         :meth:`report`.  The check happens before the index is touched,
         so a rejected call leaves no partial state behind (previously a
         ``DuplicateObjectError`` escaped from inside the index, after
-        the history clock had already advanced).
+        the history clock had already advanced).  The motion itself is
+        checked the same way (:func:`~repro.vector.ops.validate_write`).
         """
         if oid in self._motions:
             raise InvalidMotionError(
                 f"object {oid} is already registered; use report() to "
                 "supersede its motion"
             )
+        validate_write(RegisterOp(oid, y0, v, t0), self.model)
         motion = LinearMotion1D(y0, v, t0)
         self._index.insert(MobileObject1D(oid, motion))
         self._motions[oid] = motion
@@ -198,9 +201,14 @@ class MotionDatabase:
         self._notify_update("insert", oid, motion)
 
     def report(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Process a motion update from object ``oid`` (delete+insert)."""
+        """Process a motion update from object ``oid`` (delete+insert).
+
+        The new motion is validated before the index drops the old
+        entry, so a rejected report leaves the object as it was.
+        """
         if oid not in self._motions:
             raise ObjectNotFoundError(f"object {oid} is not registered")
+        validate_write(ReportOp(oid, y0, v, t0), self.model)
         motion = LinearMotion1D(y0, v, t0)
         self._index.update(MobileObject1D(oid, motion))
         self._motions[oid] = motion
@@ -293,10 +301,7 @@ class MotionDatabase:
                             f"object {op.oid} is already registered; use "
                             "report() to supersede its motion"
                         )
-                    if abs(op.v) > self.model.v_max:
-                        raise InvalidMotionError(
-                            f"speed {op.v} above v_max {self.model.v_max}"
-                        )
+                    validate_write(op, self.model)
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
                 elif isinstance(op, ReportOp):
                     kind = "update"
@@ -304,10 +309,7 @@ class MotionDatabase:
                         raise ObjectNotFoundError(
                             f"object {op.oid} is not registered"
                         )
-                    if abs(op.v) > self.model.v_max:
-                        raise InvalidMotionError(
-                            f"speed {op.v} above v_max {self.model.v_max}"
-                        )
+                    validate_write(op, self.model)
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
                 elif isinstance(op, DeregisterOp):
                     kind = "delete"

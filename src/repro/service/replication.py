@@ -67,7 +67,12 @@ from repro.errors import (
 from repro.service.faults import FaultInjector
 from repro.service.health import CircuitBreaker, RetryPolicy
 from repro.service.metrics import MetricsRegistry, wal_event_recorder
-from repro.service.service import ShardedMotionService, ShardRouter, _no_hook
+from repro.service.service import (
+    ShardedMotionService,
+    ShardRouter,
+    _no_hook,
+    check_write_ops,
+)
 from repro.service.sharding import BandRouter, MigrationState
 from repro.service.wal import ShardWAL
 from repro.storage.backend import FileWALBackend
@@ -81,7 +86,15 @@ from repro.vector.ops import (
     Within,
     WriteOp,
     validate_query,
+    validate_write,
 )
+
+#: Injector/metric operation name of each write op's replica touches.
+_OP_NAMES = {
+    RegisterOp: "register",
+    ReportOp: "report",
+    DeregisterOp: "deregister",
+}
 
 UP = "up"
 DOWN = "down"
@@ -294,7 +307,8 @@ class FaultTolerantMotionService(ShardedMotionService):
         for writes both cases mark the shard down — a shard that
         missed a write is stale and must recover before serving
         again.  Application-level rejections (``InvalidMotionError``
-        etc.) propagate unchanged.
+        etc.) propagate unchanged.  ``span=None`` skips the I/O
+        accounting (the write routine books I/O once per batch).
         """
         node = self._nodes[shard]
         if not node.up:
@@ -308,11 +322,12 @@ class FaultTolerantMotionService(ShardedMotionService):
                 self._injector.on_op(shard, op_name)
             return fn(db)
 
-        before = db.io_snapshot()
+        before = db.io_snapshot() if span is not None else None
         try:
             value = self._retry.run(attempt)
         except InjectedFaultError as exc:
-            span.add_shard_io(shard, db.io_delta_since(before))
+            if span is not None:
+                span.add_shard_io(shard, db.io_delta_since(before))
             if exc.kind == "crash":
                 node.mark_down(f"injected crash during {op_name}")
             else:
@@ -325,16 +340,20 @@ class FaultTolerantMotionService(ShardedMotionService):
             raise ShardUnavailableError(
                 f"shard {shard} failed {op_name}: {exc}"
             ) from exc
-        span.add_shard_io(shard, db.io_delta_since(before))
+        if span is not None:
+            span.add_shard_io(shard, db.io_delta_since(before))
         node.breaker.record_success()
         return value
 
     def _apply_write(self, shard: int, op_name: str, fn, span,
-                     record_kind: str, record_fields: Dict) -> bool:
+                     record_kind: str, record_fields: Dict,
+                     pending: Optional[Dict[int, List]] = None) -> bool:
         """Apply one write to one shard; ``True`` iff it landed.
 
-        Skips shards that are already down; on success appends the WAL
-        record (append-after-apply) and maybe checkpoints.
+        Skips shards that are already down.  On success the WAL record
+        follows the apply (append-after-apply): into ``pending`` for
+        the caller's grouped append when given, otherwise appended
+        here with a maybe-checkpoint.
         """
         if not self._nodes[shard].up:
             return False
@@ -342,229 +361,37 @@ class FaultTolerantMotionService(ShardedMotionService):
             self._touch(shard, op_name, fn, span, write=True)
         except ShardUnavailableError:
             return False
+        if pending is not None:
+            pending.setdefault(shard, []).append((record_kind, record_fields))
+            return True
         node = self._nodes[shard]
         node.wal.append(record_kind, **record_fields)
         node.wal.maybe_checkpoint(self._shards[shard])
         return True
 
-    # -- updates ----------------------------------------------------------------
-
-    def register(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Add a new object to every live replica of its group."""
-        with self.metrics.span("register") as span:
-            motion = LinearMotion1D(y0, v, t0)
-            primary = self.router.route(oid, motion)
-            group = self.replica_group(primary)
-            with self._catalog_lock:
-                if oid in self._owner:
-                    raise InvalidMotionError(
-                        f"object {oid} is already registered; use report()"
-                    )
-                self._owner[oid] = primary
-            try:
-                with self._holding(group):
-                    applied = 0
-                    for shard in sorted(group):
-                        if self._apply_write(
-                            shard, "register",
-                            lambda db: db.register(oid, y0, v, t0),
-                            span, "insert",
-                            {"oid": oid, "y0": y0, "v": v, "t0": t0},
-                        ):
-                            applied += 1
-                    if applied == 0:
-                        raise ShardUnavailableError(
-                            f"register({oid}): no live replica in group "
-                            f"{group}"
-                        )
-                    with self._catalog_lock:
-                        self._catalog_motion[oid] = motion
-                    self._notify_update("insert", oid, motion)
-            except Exception:
-                with self._catalog_lock:
-                    self._owner.pop(oid, None)
-                    self._catalog_motion.pop(oid, None)
-                raise
-
-    def report(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Motion update on every live replica, migrating groups when
-        the router says so (the new group is written before the old
-        copies are dropped, so a failure never loses the object)."""
-        with self.metrics.span("report") as span:
-            motion = LinearMotion1D(y0, v, t0)
-            while True:
-                with self._catalog_lock:
-                    current = self._owner.get(oid)
-                    migration = self._ownership.migration_of(oid)
-                if current is None:
-                    raise ObjectNotFoundError(
-                        f"object {oid} is not registered"
-                    )
-                if migration is not None:
-                    # Double-write window: placement comes from the
-                    # ownership table (never recomputed from motion);
-                    # the write lands on every live replica of both
-                    # participants' groups, carrying the fencing epoch.
-                    if self._report_migrating(
-                        oid, y0, v, t0, motion, migration, span
-                    ):
-                        return
-                    continue  # migration resolved under us; retry
-                target = (
-                    self.router.route(oid, motion)
-                    if self.router.motion_sensitive
-                    else current
-                )
-                old_group = set(self.replica_group(current))
-                new_group = set(self.replica_group(target))
-                with self._holding(old_group | new_group):
-                    with self._catalog_lock:
-                        if self._owner.get(oid) != current:
-                            continue  # lost the race; retry with new owner
-                    applied = 0
-                    for shard in sorted(old_group & new_group):
-                        if self._apply_write(
-                            shard, "report",
-                            lambda db: db.report(oid, y0, v, t0),
-                            span, "update",
-                            {"oid": oid, "y0": y0, "v": v, "t0": t0},
-                        ):
-                            applied += 1
-                    for shard in sorted(new_group - old_group):
-                        if self._apply_write(
-                            shard, "report",
-                            lambda db: db.register(oid, y0, v, t0),
-                            span, "insert",
-                            {"oid": oid, "y0": y0, "v": v, "t0": t0},
-                        ):
-                            applied += 1
-                    if applied == 0:
-                        raise ShardUnavailableError(
-                            f"report({oid}): no live replica in "
-                            f"{sorted(old_group | new_group)}"
-                        )
-                    for shard in sorted(old_group - new_group):
-                        self._apply_write(
-                            shard, "report",
-                            lambda db: db.deregister(oid),
-                            span, "delete", {"oid": oid},
-                        )
-                    with self._catalog_lock:
-                        self._owner[oid] = target
-                        self._catalog_motion[oid] = motion
-                    self._notify_update("update", oid, motion)
-                    return
-
-    def _report_migrating(
-        self, oid, y0, v, t0, motion, migration, span
-    ) -> bool:
-        """Fenced double-write to both participants' replica groups.
-
-        Returns ``False`` (caller retries) when the fencing check
-        fails: the migration resolved between the catalog read and the
-        lock acquisition, and writing with the stale epoch could land
-        an update on a shard that no longer holds the object.
-        """
-        src_group = set(self.replica_group(migration.source))
-        dst_group = set(self.replica_group(migration.dest))
-        with self._holding(src_group | dst_group):
-            with self._catalog_lock:
-                if not self._ownership.admits(oid, migration.epoch):
-                    self.metrics.counter(
-                        "rebalance_fenced_writes"
-                    ).increment()
-                    return False
-            applied = 0
-            for shard in sorted(src_group | dst_group):
-                if self._apply_write(
-                    shard, "report",
-                    lambda db: db.report(oid, y0, v, t0),
-                    span, "update",
-                    {"oid": oid, "y0": y0, "v": v, "t0": t0,
-                     "fence": migration.epoch},
-                ):
-                    applied += 1
-            if applied == 0:
-                raise ShardUnavailableError(
-                    f"report({oid}): no live replica in "
-                    f"{sorted(src_group | dst_group)}"
-                )
-            with self._catalog_lock:
-                self._catalog_motion[oid] = motion
-            self.metrics.counter("rebalance_double_writes").increment()
-            self._notify_update("update", oid, motion)
-            return True
-
-    def deregister(self, oid: int) -> None:
-        """Remove an object from every live replica of its group —
-        both groups, when a migration is in flight."""
-        with self.metrics.span("deregister") as span:
-            while True:
-                with self._catalog_lock:
-                    primary = self._owner.get(oid)
-                    migration = self._ownership.migration_of(oid)
-                if primary is None:
-                    raise ObjectNotFoundError(
-                        f"object {oid} is not registered"
-                    )
-                group = set(self.replica_group(primary))
-                if migration is not None:
-                    group |= set(self.replica_group(migration.dest))
-                with self._holding(group):
-                    with self._catalog_lock:
-                        if (
-                            self._owner.get(oid) != primary
-                            or self._ownership.migration_of(oid)
-                            != migration
-                        ):
-                            continue  # placement changed; retry
-                    applied = 0
-                    for shard in sorted(group):
-                        if oid not in self._shards[shard]:
-                            continue  # copy never landed on this shard
-                        if self._apply_write(
-                            shard, "deregister",
-                            lambda db: db.deregister(oid),
-                            span, "delete", {"oid": oid},
-                        ):
-                            applied += 1
-                    if applied == 0:
-                        raise ShardUnavailableError(
-                            f"deregister({oid}): no live replica in "
-                            f"group {sorted(group)}"
-                        )
-                    with self._catalog_lock:
-                        self._ownership.drop(oid)
-                        self._catalog_motion.pop(oid, None)
-                    self._notify_update("delete", oid, None)
-                    return
-
-    # -- batched writes ----------------------------------------------------------
+    # -- writes -----------------------------------------------------------------
 
     def apply_batch(
         self,
         ops: List[WriteOp],
         crash_hook: Optional[Callable[[str], None]] = None,
     ) -> List[Optional[Exception]]:
-        """Batched writes with the grouped-WAL fast path while healthy.
+        """Batched replicated writes with one group commit per shard.
 
-        With no fault injector armed and every shard up, the whole
-        batch runs under all shard locks in one pass: each op applies
-        to every replica of its group directly (same placement logic
-        as the scalar writes, including fenced migration double-writes)
-        while its WAL records accumulate per shard; then each touched
-        shard gets **one** grouped log append, **one** ``sync()`` (one
-        fsync under ``batch:N`` policies), and at most one checkpoint —
-        and the update listeners fire **once** for the batch, events in
+        The whole batch runs under all shard locks.  Each op applies
+        to every live replica of its group through the guarded shard
+        access (injection, retry, breaker, mark-down) — same placement
+        as the scalar writes, which are one-op batches through this
+        routine, including fenced migration double-writes — while its
+        WAL records accumulate per shard; then each touched shard gets
+        **one** grouped log append, **one** ``sync()`` (one fsync under
+        ``batch:N`` policies), and at most one checkpoint — and the
+        update listeners fire **once** for the batch, events in
         submission order.  Per-op rejections come back in the returned
         list (``None`` = applied), exactly like
-        :meth:`ShardedMotionService.apply_batch`.
-
-        With an injector armed or any shard down, every op takes the
-        scalar write path — full retry/breaker/mark-down machinery —
-        and :class:`~repro.errors.ShardUnavailableError` joins the
-        contained outcome types, so chaos runs behave per-op exactly
-        like a scalar soak.
+        :meth:`ShardedMotionService.apply_batch`, with
+        :class:`~repro.errors.ShardUnavailableError` for an op none of
+        whose replicas landed.
 
         ``crash_hook`` fires ``write_batch.pre_fsync`` after a shard's
         grouped records are appended but before its ``sync()`` — the
@@ -578,43 +405,48 @@ class FaultTolerantMotionService(ShardedMotionService):
         :meth:`restore_from_disk` reconciles them by newest-motion
         election.
         """
-        for op in ops:
-            if not isinstance(op, (RegisterOp, ReportOp, DeregisterOp)):
-                raise TypeError(f"unknown write operation {op!r}")
-        if self._injector is not None or self.down_shards():
-            return self._apply_batch_degraded(ops)
+        with self.metrics.span("apply_batch") as span:
+            return self._write_batch(
+                ops, span, crash_hook=crash_hook, group_commit=True
+            )
+
+    def _write_batch(
+        self,
+        ops: List[WriteOp],
+        span,
+        crash_hook: Optional[Callable[[str], None]] = None,
+        group_commit: bool = False,
+    ) -> List[Optional[Exception]]:
+        """The write routine behind :meth:`apply_batch` and the scalar
+        methods.  ``group_commit`` adds the per-shard ``sync()``; the
+        scalar methods leave durability to the log's fsync policy."""
+        check_write_ops(ops)
         hook = crash_hook or _no_hook
         outcomes: List[Optional[Exception]] = [None] * len(ops)
         events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
         pending: Dict[int, List[Tuple[str, Dict]]] = {}
-        degraded = False
-        with self.metrics.span("apply_batch") as span:
-            with self._holding(range(self.shard_count)):
-                if self.down_shards():
-                    degraded = True  # kill raced the health check
-                else:
-                    befores = [db.io_snapshot() for db in self._shards]
-                    for i, op in enumerate(ops):
-                        try:
-                            self._apply_one_replicated(op, events, pending)
-                        except (
-                            InvalidMotionError,
-                            ObjectNotFoundError,
-                        ) as exc:
-                            outcomes[i] = exc
-                    for shard, db in enumerate(self._shards):
-                        span.add_shard_io(
-                            shard, db.io_delta_since(befores[shard])
-                        )
-                    for shard in sorted(pending):
-                        node = self._nodes[shard]
-                        node.wal.append_batch(pending[shard])
-                        hook("write_batch.pre_fsync")
-                        node.wal.sync()
-                        node.wal.maybe_checkpoint(self._shards[shard])
-                    self._notify_update_batch(events)
-        if degraded:
-            return self._apply_batch_degraded(ops)
+        with self._holding(range(self.shard_count)):
+            befores = [db.io_snapshot() for db in self._shards]
+            for i, op in enumerate(ops):
+                try:
+                    self._apply_one_replicated(op, events, pending)
+                except (
+                    InvalidMotionError,
+                    ObjectNotFoundError,
+                    ShardUnavailableError,
+                ) as exc:
+                    outcomes[i] = exc
+            for shard in sorted(pending):
+                span.add_shard_io(
+                    shard, self._shards[shard].io_delta_since(befores[shard])
+                )
+                node = self._nodes[shard]
+                node.wal.append_batch(pending[shard])
+                hook("write_batch.pre_fsync")
+                if group_commit:
+                    node.wal.sync()
+                node.wal.maybe_checkpoint(self._shards[shard])
+            self._notify_update_batch(events)
         return outcomes
 
     def _apply_one_replicated(
@@ -623,69 +455,85 @@ class FaultTolerantMotionService(ShardedMotionService):
         events: List,
         pending: Dict[int, List],
     ) -> None:
-        """Fast-path apply of one write to every replica of its group.
+        """Apply one write to every live replica of its group.
 
-        Caller holds all shard locks and guarantees every shard is up
-        and no injector is armed, so the scalar path's retry /
-        mark-down machinery is unnecessary; placement and record kinds
-        mirror :meth:`register` / :meth:`report` / :meth:`deregister`
-        exactly.  WAL records accumulate in ``pending`` for the
-        caller's grouped append.
+        Caller holds all shard locks.  Every replica touch is guarded
+        (:meth:`_apply_write`): down shards are skipped, a failing
+        shard is marked down, and :class:`ShardUnavailableError` is
+        raised only when no replica landed — the catalog then stays
+        untouched.  A report that moves the object to a new group
+        writes the new group before dropping the old copies, so a
+        failure never loses it.  WAL records accumulate in ``pending``
+        for the caller's grouped append.
         """
-        v_max = self._db_params["v_max"]
+        dropped = {"oid": op.oid}
+        fields = dropped
+        if not isinstance(op, DeregisterOp):
+            fields = dict(dropped, y0=op.y0, v=op.v, t0=op.t0)
+        name = _OP_NAMES[type(op)]
 
-        def record(shard: int, kind: str, fields: Dict) -> None:
-            pending.setdefault(shard, []).append((kind, fields))
+        def write(shard: int, fn, kind: str, record: Dict) -> bool:
+            return self._apply_write(
+                shard, name, fn, None, kind, record, pending
+            )
 
+        def register(db: MotionDatabase) -> None:
+            db.register(op.oid, op.y0, op.v, op.t0)
+
+        def report(db: MotionDatabase) -> None:
+            db.report(op.oid, op.y0, op.v, op.t0)
+
+        def deregister(db: MotionDatabase) -> None:
+            db.deregister(op.oid)
+
+        with self._catalog_lock:
+            current = self._owner.get(op.oid)
+            migration = self._ownership.migration_of(op.oid)
         if isinstance(op, RegisterOp):
-            motion = LinearMotion1D(op.y0, op.v, op.t0)
-            with self._catalog_lock:
-                duplicate = op.oid in self._owner
-            if duplicate:
+            if current is not None:
                 raise InvalidMotionError(
                     f"object {op.oid} is already registered; use report()"
                 )
-            if abs(op.v) > v_max:
-                raise InvalidMotionError(
-                    f"speed {op.v} above v_max {v_max}"
-                )
+            validate_write(op, self._shards[0].model)
+            motion = LinearMotion1D(op.y0, op.v, op.t0)
             primary = self.router.route(op.oid, motion)
-            for shard in sorted(self.replica_group(primary)):
-                self._shards[shard].register(op.oid, op.y0, op.v, op.t0)
-                record(shard, "insert", {
-                    "oid": op.oid, "y0": op.y0, "v": op.v, "t0": op.t0,
-                })
+            group = self.replica_group(primary)
+            landed = [
+                write(shard, register, "insert", fields)
+                for shard in sorted(group)
+            ]
+            if not any(landed):
+                raise ShardUnavailableError(
+                    f"register({op.oid}): no live replica in group {group}"
+                )
             with self._catalog_lock:
                 self._owner[op.oid] = primary
                 self._catalog_motion[op.oid] = motion
             events.append(("insert", op.oid, motion))
             return
 
+        if current is None:
+            raise ObjectNotFoundError(f"object {op.oid} is not registered")
+
         if isinstance(op, ReportOp):
+            validate_write(op, self._shards[0].model)
             motion = LinearMotion1D(op.y0, op.v, op.t0)
-            with self._catalog_lock:
-                current = self._owner.get(op.oid)
-                migration = self._ownership.migration_of(op.oid)
-            if current is None:
-                raise ObjectNotFoundError(
-                    f"object {op.oid} is not registered"
-                )
-            if abs(op.v) > v_max:
-                raise InvalidMotionError(
-                    f"speed {op.v} above v_max {v_max}"
-                )
             if migration is not None:
                 # Fenced double-write; the epoch cannot go stale under
                 # us because commit/abort needs shard locks we hold.
                 union = set(self.replica_group(migration.source)) | set(
                     self.replica_group(migration.dest)
                 )
-                for shard in sorted(union):
-                    self._shards[shard].report(op.oid, op.y0, op.v, op.t0)
-                    record(shard, "update", {
-                        "oid": op.oid, "y0": op.y0, "v": op.v,
-                        "t0": op.t0, "fence": migration.epoch,
-                    })
+                fenced = dict(fields, fence=migration.epoch)
+                landed = [
+                    write(shard, report, "update", fenced)
+                    for shard in sorted(union)
+                ]
+                if not any(landed):
+                    raise ShardUnavailableError(
+                        f"report({op.oid}): no live replica in "
+                        f"{sorted(union)}"
+                    )
                 with self._catalog_lock:
                     self._catalog_motion[op.oid] = motion
                 self.metrics.counter("rebalance_double_writes").increment()
@@ -698,73 +546,43 @@ class FaultTolerantMotionService(ShardedMotionService):
             )
             old_group = set(self.replica_group(current))
             new_group = set(self.replica_group(target))
-            for shard in sorted(old_group & new_group):
-                self._shards[shard].report(op.oid, op.y0, op.v, op.t0)
-                record(shard, "update", {
-                    "oid": op.oid, "y0": op.y0, "v": op.v, "t0": op.t0,
-                })
-            for shard in sorted(new_group - old_group):
-                self._shards[shard].register(op.oid, op.y0, op.v, op.t0)
-                record(shard, "insert", {
-                    "oid": op.oid, "y0": op.y0, "v": op.v, "t0": op.t0,
-                })
+            landed = [
+                write(shard, report, "update", fields)
+                for shard in sorted(old_group & new_group)
+            ] + [
+                write(shard, register, "insert", fields)
+                for shard in sorted(new_group - old_group)
+            ]
+            if not any(landed):
+                raise ShardUnavailableError(
+                    f"report({op.oid}): no live replica in "
+                    f"{sorted(old_group | new_group)}"
+                )
             for shard in sorted(old_group - new_group):
-                self._shards[shard].deregister(op.oid)
-                record(shard, "delete", {"oid": op.oid})
+                write(shard, deregister, "delete", dropped)
             with self._catalog_lock:
                 self._owner[op.oid] = target
                 self._catalog_motion[op.oid] = motion
             events.append(("update", op.oid, motion))
             return
 
-        with self._catalog_lock:
-            primary = self._owner.get(op.oid)
-            migration = self._ownership.migration_of(op.oid)
-        if primary is None:
-            raise ObjectNotFoundError(
-                f"object {op.oid} is not registered"
-            )
-        group = set(self.replica_group(primary))
+        group = set(self.replica_group(current))
         if migration is not None:
             group |= set(self.replica_group(migration.dest))
-        for shard in sorted(group):
-            if op.oid not in self._shards[shard]:
-                continue  # copy never landed on this shard
-            self._shards[shard].deregister(op.oid)
-            record(shard, "delete", {"oid": op.oid})
+        landed = [
+            write(shard, deregister, "delete", fields)
+            for shard in sorted(group)
+            if op.oid in self._shards[shard]  # else the copy never landed
+        ]
+        if not any(landed):
+            raise ShardUnavailableError(
+                f"deregister({op.oid}): no live replica in "
+                f"group {sorted(group)}"
+            )
         with self._catalog_lock:
             self._ownership.drop(op.oid)
             self._catalog_motion.pop(op.oid, None)
         events.append(("delete", op.oid, None))
-
-    def _apply_batch_degraded(
-        self, ops: List[WriteOp]
-    ) -> List[Optional[Exception]]:
-        """Per-op scalar fallback with full fault machinery.
-
-        Each op runs the scalar write (retry, breaker, mark-down,
-        per-op WAL append and listener fire) so a chaos run through the
-        batch API behaves byte-identically to the same ops issued one
-        by one; rejections and unavailability land in the outcome list
-        instead of raising.
-        """
-        outcomes: List[Optional[Exception]] = []
-        for op in ops:
-            try:
-                if isinstance(op, RegisterOp):
-                    self.register(op.oid, op.y0, op.v, op.t0)
-                elif isinstance(op, ReportOp):
-                    self.report(op.oid, op.y0, op.v, op.t0)
-                else:
-                    self.deregister(op.oid)
-                outcomes.append(None)
-            except (
-                ShardUnavailableError,
-                ObjectNotFoundError,
-                InvalidMotionError,
-            ) as exc:
-                outcomes.append(exc)
-        return outcomes
 
     def location_of(self, oid: int, t: float) -> float:
         """Point lookup with replica failover."""

@@ -4,8 +4,8 @@ One :class:`~repro.engine.MotionDatabase` serves one caller at a time.
 :class:`ShardedMotionService` is the scaling layer the ROADMAP asks
 for: the object population is partitioned across ``k`` independent
 shards (each a full ``MotionDatabase`` with its own disks and
-buffers), updates route to the owning shard under a per-shard lock,
-and queries fan out and merge:
+buffers), updates route to the owning shard, and queries fan out and
+merge:
 
 * ``within`` / ``snapshot_at`` / ``query_past`` — per-shard answers
   are disjoint (an object lives on exactly one shard), so the merge is
@@ -25,13 +25,13 @@ and queries fan out and merge:
   examined exactly once.
 
 Concurrency model: a *catalog* lock guards the oid→shard ownership map
-and is only ever taken innermost; each shard has a reentrant lock
-taken in ascending shard order when an operation needs more than one
-(motion-sensitive routing can migrate an object between shards on
-update).  Queries lock one shard at a time, so readers of different
-shards proceed in parallel with writers of others.  The paper's
-time-moves-forward discipline holds per shard: each shard's ``now``
-only advances.
+and is only ever taken innermost; each shard has a reentrant lock,
+always taken in ascending shard order when an operation needs more
+than one.  Every write — a batch, or a scalar write, which is a
+one-op batch — holds all shard locks, so placement, migration fencing
+and the catalog resolve with no retry loop.  Queries lock one shard
+at a time.  The paper's time-moves-forward discipline holds per
+shard: each shard's ``now`` only advances.
 
 Every public operation runs inside a metrics span; see
 :meth:`service_stats` for the snapshot format.
@@ -75,6 +75,7 @@ from repro.vector.ops import (
     Within,
     WriteOp,
     validate_query,
+    validate_write,
 )
 
 try:  # the columnar read path; absent without numpy
@@ -92,6 +93,14 @@ ROUTER_FACTORIES: Dict[str, Callable[[int, float], ShardRouter]] = {
 
 def _no_hook(point: str) -> None:
     """Default (disarmed) migration crash-point hook."""
+
+
+def check_write_ops(ops: Sequence[WriteOp]) -> None:
+    """Reject anything outside the write vocabulary before a batch
+    takes a lock: a ``TypeError`` mid-batch would leave it half done."""
+    for op in ops:
+        if not isinstance(op, (RegisterOp, ReportOp, DeregisterOp)):
+            raise TypeError(f"unknown write operation {op!r}")
 
 
 class ShardedMotionService:
@@ -383,182 +392,23 @@ class ShardedMotionService:
 
     def register(self, oid: int, y0: float, v: float, t0: float) -> None:
         """Add a new object; routes to its shard, rejects duplicates."""
-        with self.metrics.span("register") as span:
-            motion = LinearMotion1D(y0, v, t0)
-            target = self.router.route(oid, motion)
-            with self._catalog_lock:
-                if oid in self._owner:
-                    raise InvalidMotionError(
-                        f"object {oid} is already registered; use report()"
-                    )
-                # Reserve ownership so a concurrent duplicate register
-                # fails fast; rolled back if the shard rejects the motion.
-                self._owner[oid] = target
-            try:
-                with self._locks[target]:
-                    before = self._shards[target].io_snapshot()
-                    self._shards[target].register(oid, y0, v, t0)
-                    span.add_shard_io(
-                        target, self._shards[target].io_delta_since(before)
-                    )
-                    self._notify_update("insert", oid, motion)
-            except Exception:
-                with self._catalog_lock:
-                    self._owner.pop(oid, None)
-                raise
+        self._write_one("register", RegisterOp(oid, y0, v, t0))
 
     def report(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Process a motion update, migrating shards when routing says so.
-
-        Ownership can only change while *both* involved shard locks are
-        held, so holding the current owner's lock and re-checking the
-        catalog gives a stable claim; a lost race (another update moved
-        the object first) simply retries with the fresh owner.
-        """
-        with self.metrics.span("report") as span:
-            motion = LinearMotion1D(y0, v, t0)
-            while True:
-                with self._catalog_lock:
-                    current = self._owner.get(oid)
-                    migration = self._ownership.migration_of(oid)
-                if current is None:
-                    raise ObjectNotFoundError(
-                        f"object {oid} is not registered"
-                    )
-                if migration is not None:
-                    # Double-write window: the ownership table, not the
-                    # router, decides placement — recomputing the route
-                    # from motion here would fork the object onto a
-                    # third shard mid-migration.  The write applies to
-                    # both participants and emits exactly one update
-                    # notification.
-                    if self._report_double_write(
-                        oid, y0, v, t0, motion, migration, span
-                    ):
-                        return
-                    continue  # migration resolved under us; retry
-                target = (
-                    self.router.route(oid, motion)
-                    if self.router.motion_sensitive
-                    else current
-                )
-                held = sorted({current, target})
-                for shard in held:
-                    self._locks[shard].acquire()
-                try:
-                    with self._catalog_lock:
-                        if self._owner.get(oid) != current:
-                            continue  # lost the race; retry with new owner
-                    if target == current:
-                        before = self._shards[current].io_snapshot()
-                        self._shards[current].report(oid, y0, v, t0)
-                        span.add_shard_io(
-                            current,
-                            self._shards[current].io_delta_since(before),
-                        )
-                    else:
-                        before_src = self._shards[current].io_snapshot()
-                        self._shards[current].deregister(oid)
-                        span.add_shard_io(
-                            current,
-                            self._shards[current].io_delta_since(before_src),
-                        )
-                        before_dst = self._shards[target].io_snapshot()
-                        self._shards[target].register(oid, y0, v, t0)
-                        span.add_shard_io(
-                            target,
-                            self._shards[target].io_delta_since(before_dst),
-                        )
-                        with self._catalog_lock:
-                            self._owner[oid] = target
-                    self._notify_update("update", oid, motion)
-                    return
-                finally:
-                    for shard in reversed(held):
-                        self._locks[shard].release()
-
-    def _report_double_write(
-        self,
-        oid: int,
-        y0: float,
-        v: float,
-        t0: float,
-        motion: LinearMotion1D,
-        migration: MigrationState,
-        span,
-    ) -> bool:
-        """Apply one report to both migration participants (fenced).
-
-        Returns ``True`` when the write landed; ``False`` when the
-        fencing check failed — the migration was committed or aborted
-        between the catalog read and the lock acquisition — and the
-        caller must re-resolve ownership and retry.
-        """
-        held = sorted({migration.source, migration.dest})
-        for shard in held:
-            self._locks[shard].acquire()
-        try:
-            with self._catalog_lock:
-                if not self._ownership.admits(oid, migration.epoch):
-                    self.metrics.counter(
-                        "rebalance_fenced_writes"
-                    ).increment()
-                    return False
-            for shard in held:
-                before = self._shards[shard].io_snapshot()
-                self._shards[shard].report(oid, y0, v, t0)
-                span.add_shard_io(
-                    shard, self._shards[shard].io_delta_since(before)
-                )
-            self.metrics.counter("rebalance_double_writes").increment()
-            self._notify_update("update", oid, motion)
-            return True
-        finally:
-            for shard in reversed(held):
-                self._locks[shard].release()
+        """Process a motion update, migrating shards when routing says
+        so; during a two-phase migration, on both participants."""
+        self._write_one("report", ReportOp(oid, y0, v, t0))
 
     def deregister(self, oid: int) -> None:
         """Remove an object; during a migration, from both shards."""
-        with self.metrics.span("deregister") as span:
-            while True:
-                with self._catalog_lock:
-                    shard = self._owner.get(oid)
-                    migration = self._ownership.migration_of(oid)
-                if shard is None:
-                    raise ObjectNotFoundError(
-                        f"object {oid} is not registered"
-                    )
-                held = (
-                    sorted({migration.source, migration.dest})
-                    if migration is not None
-                    else [shard]
-                )
-                for lock_shard in held:
-                    self._locks[lock_shard].acquire()
-                try:
-                    with self._catalog_lock:
-                        if (
-                            self._owner.get(oid) != shard
-                            or self._ownership.migration_of(oid)
-                            != migration
-                        ):
-                            continue  # placement changed; retry
-                    for db_shard in held:
-                        db = self._shards[db_shard]
-                        if oid not in db:
-                            continue  # copy never landed on this side
-                        before = db.io_snapshot()
-                        db.deregister(oid)
-                        span.add_shard_io(
-                            db_shard, db.io_delta_since(before)
-                        )
-                    with self._catalog_lock:
-                        self._ownership.drop(oid)
-                    self._notify_update("delete", oid, None)
-                    return
-                finally:
-                    for lock_shard in reversed(held):
-                        self._locks[lock_shard].release()
+        self._write_one("deregister", DeregisterOp(oid))
+
+    def _write_one(self, name: str, op: WriteOp) -> None:
+        """One scalar write: a one-op batch, its rejection re-raised."""
+        with self.metrics.span(name) as span:
+            error = self._write_batch([op], span)[0]
+            if error is not None:
+                raise error
 
     def location_of(self, oid: int, t: float) -> float:
         """Extrapolated location of one object at time ``t``."""
@@ -588,7 +438,8 @@ class ShardedMotionService:
 
         The batch is one critical section: every shard lock is taken
         (ascending, the :meth:`proximity_pairs` discipline), operations
-        are resolved against the catalog **in submission order** and
+        are validated (:func:`~repro.vector.ops.validate_write`) and
+        resolved against the catalog **in submission order** and
         grouped by target shard, then each shard absorbs its group
         through one :meth:`MotionDatabase.apply_batch` call.  Grouping
         per shard is safe because writes to different objects commute
@@ -599,40 +450,41 @@ class ShardedMotionService:
         in submission order (:meth:`_notify_update_batch`) before any
         lock is released, so readers never observe a half-applied
         batch and subscriptions keep their per-object apply-order
-        guarantee.  Final state and answers are identical to calling
-        the scalar methods in the same order.
+        guarantee.  The scalar methods are one-op batches through the
+        same routine.
         """
         with self.metrics.span("apply_batch") as span:
-            for op in ops:
-                if not isinstance(
-                    op, (RegisterOp, ReportOp, DeregisterOp)
-                ):
-                    raise TypeError(f"unknown write operation {op!r}")
-            for lock in self._locks:
-                lock.acquire()
-            try:
-                outcomes, events, per_shard, origins = self._resolve_batch(
-                    ops
-                )
-                for shard in sorted(per_shard):
-                    db = self._shards[shard]
-                    before = db.io_snapshot()
-                    sub_outcomes = db.apply_batch(per_shard[shard])
-                    span.add_shard_io(shard, db.io_delta_since(before))
-                    for pos, error in enumerate(sub_outcomes):
-                        if error is not None:
-                            # The catalog admitted the op under every
-                            # lock, so a shard-level rejection means
-                            # catalog/shard divergence — never mask it.
-                            raise RuntimeError(
-                                f"shard {shard} rejected catalog-admitted "
-                                f"op {per_shard[shard][pos]!r}"
-                            ) from error
-                self._notify_update_batch(events)
-                return outcomes
-            finally:
-                for lock in reversed(self._locks):
-                    lock.release()
+            return self._write_batch(ops, span)
+
+    def _write_batch(
+        self, ops: Sequence[WriteOp], span
+    ) -> List[Optional[Exception]]:
+        """The write routine behind :meth:`apply_batch` and the scalar
+        methods (the caller owns the metric span)."""
+        check_write_ops(ops)
+        for lock in self._locks:
+            lock.acquire()
+        try:
+            outcomes, events, per_shard = self._resolve_batch(ops)
+            for shard in sorted(per_shard):
+                db = self._shards[shard]
+                before = db.io_snapshot()
+                sub_outcomes = db.apply_batch(per_shard[shard])
+                span.add_shard_io(shard, db.io_delta_since(before))
+                for pos, error in enumerate(sub_outcomes):
+                    if error is not None:
+                        # The catalog admitted the op under every
+                        # lock, so a shard-level rejection means
+                        # catalog/shard divergence — never mask it.
+                        raise RuntimeError(
+                            f"shard {shard} rejected catalog-admitted "
+                            f"op {per_shard[shard][pos]!r}"
+                        ) from error
+            self._notify_update_batch(events)
+            return outcomes
+        finally:
+            for lock in reversed(self._locks):
+                lock.release()
 
     def _resolve_batch(
         self, ops: Sequence[WriteOp]
@@ -640,22 +492,21 @@ class ShardedMotionService:
         List[Optional[Exception]],
         List[Tuple[str, int, Optional[LinearMotion1D]]],
         Dict[int, List[WriteOp]],
-        Dict[int, List[int]],
     ]:
         """Route one write batch against the catalog, in order.
 
         Runs with every shard lock held.  Returns ``(outcomes, events,
-        per_shard, origins)``: contained per-op rejections, the update
-        events to fire, each shard's sub-batch, and the sub-batch's
-        originating op indexes (for error attribution).  The catalog is
-        mutated as ops resolve, so duplicate oids within one batch see
-        each other in submission order.
+        per_shard)``: contained per-op rejections, the update events to
+        fire, and each shard's sub-batch.  Each op is checked (catalog
+        residency, then :func:`~repro.vector.ops.validate_write`)
+        before it touches the catalog, and the catalog is mutated as
+        ops resolve, so duplicate oids within one batch see each other
+        in submission order.
         """
         outcomes: List[Optional[Exception]] = [None] * len(ops)
         events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
         per_shard: Dict[int, List[WriteOp]] = {}
-        origins: Dict[int, List[int]] = {}
-        v_max = self._db_params["v_max"]
+        model = self._shards[0].model
         # Residency overlay for sub-ops routed but not yet applied, so
         # a register → deregister pair inside one batch resolves against
         # the state the earlier op *will* have produced.
@@ -667,9 +518,8 @@ class ShardedMotionService:
                 return pending[key]
             return oid in self._shards[shard]
 
-        def push(shard: int, sub_op: WriteOp, index: int) -> None:
+        def push(shard: int, sub_op: WriteOp) -> None:
             per_shard.setdefault(shard, []).append(sub_op)
-            origins.setdefault(shard, []).append(index)
             if isinstance(sub_op, RegisterOp):
                 pending[(shard, sub_op.oid)] = True
             elif isinstance(sub_op, DeregisterOp):
@@ -684,15 +534,15 @@ class ShardedMotionService:
                             "use report()"
                         )
                         continue
-                    if abs(op.v) > v_max:
-                        outcomes[i] = InvalidMotionError(
-                            f"speed {op.v} above v_max {v_max}"
-                        )
+                    try:
+                        validate_write(op, model)
+                    except InvalidMotionError as exc:
+                        outcomes[i] = exc
                         continue
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
                     target = self.router.route(op.oid, motion)
                     self._owner[op.oid] = target
-                    push(target, op, i)
+                    push(target, op)
                     events.append(("insert", op.oid, motion))
                 elif isinstance(op, ReportOp):
                     current = self._owner.get(op.oid)
@@ -701,10 +551,10 @@ class ShardedMotionService:
                             f"object {op.oid} is not registered"
                         )
                         continue
-                    if abs(op.v) > v_max:
-                        outcomes[i] = InvalidMotionError(
-                            f"speed {op.v} above v_max {v_max}"
-                        )
+                    try:
+                        validate_write(op, model)
+                    except InvalidMotionError as exc:
+                        outcomes[i] = exc
                         continue
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
                     migration = self._ownership.migration_of(op.oid)
@@ -715,7 +565,7 @@ class ShardedMotionService:
                         for shard in sorted(
                             {migration.source, migration.dest}
                         ):
-                            push(shard, op, i)
+                            push(shard, op)
                         self.metrics.counter(
                             "rebalance_double_writes"
                         ).increment()
@@ -726,13 +576,11 @@ class ShardedMotionService:
                             else current
                         )
                         if target == current:
-                            push(current, op, i)
+                            push(current, op)
                         else:
-                            push(current, DeregisterOp(op.oid), i)
+                            push(current, DeregisterOp(op.oid))
                             push(
-                                target,
-                                RegisterOp(op.oid, op.y0, op.v, op.t0),
-                                i,
+                                target, RegisterOp(op.oid, op.y0, op.v, op.t0)
                             )
                             self._owner[op.oid] = target
                     events.append(("update", op.oid, motion))
@@ -751,10 +599,10 @@ class ShardedMotionService:
                     )
                     for shard in held:
                         if resident(shard, op.oid):
-                            push(shard, op, i)
+                            push(shard, op)
                     self._ownership.drop(op.oid)
                     events.append(("delete", op.oid, None))
-        return outcomes, events, per_shard, origins
+        return outcomes, events, per_shard
 
     # -- live rebalancing (two-phase object migration) ---------------------------
     #

@@ -15,7 +15,7 @@ queries out.  Which objects land together is the routing policy:
   dual-transform bounding regions (the paper's §3.5 rectangles shrink
   with the speed band).  The routed shard depends on the *motion*, so
   a speed-change update can migrate the object between shards; the
-  service handles that with ordered two-shard locking.  Band edges
+  service handles that inside its all-shard write lock.  Band edges
   are **mutable**: the rebalance controller re-cuts them against the
   live velocity histogram (epoch-numbered, so replicas and recovery
   agree on which layout is newest).

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Tuple, Union
 
-from repro.errors import InvalidQueryError
+from repro.errors import InvalidMotionError, InvalidQueryError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.core.model import MotionModel
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,34 @@ class DeregisterOp:
 
 
 WriteOp = Union[RegisterOp, ReportOp, DeregisterOp]
+
+
+def validate_write(op: WriteOp, model: MotionModel) -> None:
+    """Reject a motion no index can hold, before any state changes.
+
+    Raises :class:`~repro.errors.InvalidMotionError` for ``|v| >
+    v_max``, a ``y0`` outside the terrain ``[0, y_max]`` (NaN
+    included) and a non-finite ``v`` or ``t0`` (a NaN motion compares
+    false against every bound, so the index and the kernels would
+    each answer something different).  The checks run in that order,
+    so the first two keep the messages the index raises.  A
+    ``DeregisterOp`` carries no motion and always passes.  Every write
+    path calls it — ``MotionDatabase``'s scalar and batch writes and
+    the service batch routine — before the catalog, the index or the
+    WAL is touched.
+    """
+    if isinstance(op, DeregisterOp):
+        return
+    if abs(op.v) > model.v_max:
+        raise InvalidMotionError(f"speed {op.v} above v_max {model.v_max}")
+    if not model.terrain.contains(op.y0):
+        raise InvalidMotionError(
+            f"start location {op.y0} outside terrain "
+            f"[0, {model.terrain.y_max}]"
+        )
+    if not (math.isfinite(op.v) and math.isfinite(op.t0)):
+        raise InvalidMotionError(f"non-finite motion parameter in {op!r}")
+
 
 #: WriteOp class → WAL/trace-dialect record kind (the same dialect the
 #: update listeners and ``MotionDatabase.apply_event`` speak).
