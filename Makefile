@@ -208,10 +208,10 @@ serve-smoke:
 		--shards 3 --pool-workers 2 --clients 12 --requests 25 \
 		--queue-depth 8 --seed 5
 
-# Batched write-path smoke: apply_batch must produce byte-identical
-# outcomes, catalogs and probe answers to the scalar write calls over
-# the same seeded op stream (exit 3 on any divergence) while being
-# several times faster.
+# Batched write-path smoke: the scalar write calls and apply_batch over
+# the same seeded op stream must both match a plain MotionDatabase fed
+# that stream (outcomes, catalogs, probe answers; exit 3 on any
+# divergence), batched being several times faster.
 update-bench-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python -m repro serve-bench --update-bench --n 1500 \

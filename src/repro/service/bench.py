@@ -131,6 +131,11 @@ class ServeBenchReport:
         (every ``OpResult.error`` from the batch layer); span-internal
         errors are a subset of it, so failed ops no longer vanish into
         the throughput numbers.
+
+        Writes run by :class:`BatchExecutor` share one ``apply_batch``
+        call per epoch: their ``register``/``report``/``deregister``
+        rows count calls and errors only, and the update phase's
+        latency and I/O are on the ``apply_batch`` row.
         """
         table = Table(
             headers=["op", "calls", "p50_ms", "p99_ms", "avg_io", "errors"]

@@ -43,8 +43,7 @@ Outcome accounting (all on the service's
 * ``rebalance_migrations`` — migrations committed;
 * ``rebalance_aborted`` — migrations aborted (destination death,
   lost fencing race);
-* plus the service-side ``rebalance_band_updates`` and
-  ``rebalance_fenced_writes``.
+* plus the service-side ``rebalance_band_updates``.
 """
 
 from __future__ import annotations

@@ -79,7 +79,6 @@ class RebalanceBenchReport:
     aborted: int
     skipped: int
     double_writes: int
-    fenced_writes: int
     migrate_seconds: float
     passes: List[Dict[str, object]] = field(default_factory=list)
     verification: Optional[Dict[str, object]] = None
@@ -116,7 +115,6 @@ class RebalanceBenchReport:
             "aborted": self.aborted,
             "skipped": self.skipped,
             "double_writes": self.double_writes,
-            "fenced_writes": self.fenced_writes,
             "migrate_seconds": round(self.migrate_seconds, 6),
             "migrations_per_s": round(self.migrations_per_s, 1),
             "passes": self.passes,
@@ -155,7 +153,6 @@ class RebalanceBenchReport:
         table.rows.append(
             ["window double-writes", self.double_writes]
         )
-        table.rows.append(["fenced (stale) writes", self.fenced_writes])
         if self.verification is not None:
             table.rows.append(
                 ["verification",
@@ -244,7 +241,7 @@ def run_rebalance_bench(
     # object), a fraction of them speed changes that re-skew the
     # population so the second pass has real work.  A handful of
     # migrations are held open across the whole burst so reports land
-    # inside real double-write windows — the fenced path under load,
+    # inside real double-write windows — the double-write path under load,
     # not just the happy path.
     held = []
     for oid in rng.sample(range(config.n), min(16, config.n)):
@@ -288,7 +285,6 @@ def run_rebalance_bench(
         aborted=first.aborted + second.aborted,
         skipped=first.skipped + second.skipped,
         double_writes=counters.get("rebalance_double_writes", 0),
-        fenced_writes=counters.get("rebalance_fenced_writes", 0),
         migrate_seconds=migrate_seconds,
         passes=passes,
     )

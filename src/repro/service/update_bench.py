@@ -7,8 +7,9 @@ plus a little register/deregister churn and a sprinkle of
 deliberately-invalid ops — two ways:
 
 * the **scalar leg**: one service call per write (`register` /
-  `report` / `deregister`), each paying its own span, lock round,
-  per-shard routing, root-to-leaf index update and listener fire;
+  `report` / `deregister`), each a one-op batch paying its own span,
+  lock round, per-shard routing, root-to-leaf index update and
+  listener fire;
 * the **batch leg**: the stream chunked into batches of
   ``batch_size`` and pushed through
   :meth:`~repro.service.service.ShardedMotionService.apply_batch` —
@@ -16,15 +17,21 @@ deliberately-invalid ops — two ways:
   §3.5 forest swapping incremental updates for an STR-style bulk
   rebuild once a sub-batch crosses its rebuild threshold.
 
-Verification is differential and threefold, so the speedup number can
-never hide a wrong answer (CLI exit 3 on any divergence):
+Both legs run the service's one write routine, so they are timed
+against each other but checked against an independent **reference**:
+a plain :class:`~repro.engine.MotionDatabase`, populated the same way
+and fed the stream through its own scalar writes.  Verification is
+threefold, so the speedup number can never hide a wrong answer (CLI
+exit 3 on any divergence):
 
-1. **outcome parity** — the per-op outcome lists match slot-for-slot
-   (same acceptance, same exception types and messages);
-2. **catalog equality** — both services end with byte-identical
-   ``motion_snapshot()`` maps;
+1. **outcome parity** — each leg's per-op outcomes match the
+   reference's slot-for-slot in acceptance and exception type, and
+   the two legs' messages match each other;
+2. **catalog equality** — each leg ends with the reference's
+   ``motion_snapshot()`` map;
 3. **probe queries** — a seeded mix of range / snapshot / kNN probes
-   answers identically on both services.
+   answers on each leg as on the reference, and the reference answers
+   as a brute-force scan of its catalog.
 
 The report renders human-readable and dumps machine-readable JSON
 (``BENCH_update.json``) for trajectory tracking across PRs.
@@ -38,6 +45,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import MobileObject1D, MORQuery1D, brute_force_1d
+from repro.engine import MotionDatabase
 from repro.errors import InvalidMotionError, ObjectNotFoundError
 from repro.service.bench import (
     DEFAULT_V_MAX,
@@ -151,8 +160,9 @@ class UpdateBenchReport:
         ]
         if self.ok:
             lines.append(
-                f"differential verification: OK — outcomes, catalogs and "
-                f"{self.probes} probe answers byte-identical"
+                f"differential verification: OK — both legs' outcomes, "
+                f"catalogs and {self.probes} probe answers match a plain "
+                f"MotionDatabase reference and a brute-force scan"
             )
         else:
             sample = self.divergences[:10]
@@ -225,35 +235,40 @@ def build_update_stream(
     return stream
 
 
-def _populate(config: UpdateBenchConfig) -> ShardedMotionService:
-    """One freshly-populated service (seeded identically per leg)."""
+def _populate(target, config: UpdateBenchConfig):
+    """Register the seeded population into ``target`` (identically
+    for every leg and for the reference)."""
     rng = random.Random(config.seed * 31 + 7)
-    service = build_service(ServeBenchConfig(
+    for oid in range(config.n):
+        speed = rng.uniform(DEFAULT_V_MIN, DEFAULT_V_MAX)
+        direction = 1 if rng.random() < 0.5 else -1
+        target.register(
+            oid, rng.uniform(0.0, DEFAULT_Y_MAX), direction * speed, 0.0
+        )
+    return target
+
+
+def _service(config: UpdateBenchConfig) -> ShardedMotionService:
+    """One freshly-populated service."""
+    return _populate(build_service(ServeBenchConfig(
         n=config.n,
         shards=config.shards,
         method=config.method,
         router=config.router,
         seed=config.seed,
-    ))
-    for oid in range(config.n):
-        speed = rng.uniform(DEFAULT_V_MIN, DEFAULT_V_MAX)
-        direction = 1 if rng.random() < 0.5 else -1
-        service.register(
-            oid, rng.uniform(0.0, DEFAULT_Y_MAX), direction * speed, 0.0
-        )
-    return service
+    )), config)
 
 
-def _apply_scalar(
-    service: ShardedMotionService, op: WriteOp
-) -> Optional[Exception]:
+def _apply_scalar(target, op: WriteOp) -> Optional[Exception]:
+    """One write through ``target``'s scalar methods (a service's or
+    the reference database's)."""
     try:
         if isinstance(op, RegisterOp):
-            service.register(op.oid, op.y0, op.v, op.t0)
+            target.register(op.oid, op.y0, op.v, op.t0)
         elif isinstance(op, ReportOp):
-            service.report(op.oid, op.y0, op.v, op.t0)
+            target.report(op.oid, op.y0, op.v, op.t0)
         else:
-            service.deregister(op.oid)
+            target.deregister(op.oid)
     except (InvalidMotionError, ObjectNotFoundError) as exc:
         return exc
     return None
@@ -284,12 +299,36 @@ def _probe_stream(
     return probes
 
 
-def _answer(service: ShardedMotionService, probe: Tuple):
+def _answer(target, probe: Tuple):
     if probe[0] == "within":
-        return service.within(probe[1], probe[2], probe[3], probe[4])
+        return target.within(probe[1], probe[2], probe[3], probe[4])
     if probe[0] == "snapshot":
-        return service.snapshot_at(probe[1], probe[2], probe[3])
-    return service.nearest(probe[1], probe[2], probe[3])
+        return target.snapshot_at(probe[1], probe[2], probe[3])
+    return target.nearest(probe[1], probe[2], probe[3])
+
+
+def _scan(motions, probe: Tuple):
+    """Brute-force answer over a catalog: the scalar predicates for
+    range probes, the ``(distance, oid)``-sorted prefix for k-NN."""
+    if probe[0] == "nearest":
+        ranked = sorted(
+            (abs(m.position(probe[2]) - probe[1]), oid)
+            for oid, m in motions.items()
+        )
+        return [(oid, dist) for dist, oid in ranked[:probe[3]]]
+    t1 = probe[3]
+    t2 = probe[4] if probe[0] == "within" else t1
+    return brute_force_1d(
+        (MobileObject1D(oid, m) for oid, m in motions.items()),
+        MORQuery1D(probe[1], probe[2], t1, t2),
+    )
+
+
+def _catalog(target) -> Dict[int, Tuple[float, float, float]]:
+    return {
+        oid: (m.y0, m.v, m.t0)
+        for oid, m in target.motion_snapshot().items()
+    }
 
 
 def run_update_bench(config: UpdateBenchConfig) -> UpdateBenchReport:
@@ -316,8 +355,18 @@ def run_update_bench(config: UpdateBenchConfig) -> UpdateBenchReport:
         name = type(op).__name__
         op_counts[name] = op_counts.get(name, 0) + 1
 
-    scalar_service = _populate(config)
-    batch_service = _populate(config)
+    reference = _populate(
+        MotionDatabase(
+            DEFAULT_Y_MAX, DEFAULT_V_MIN, DEFAULT_V_MAX,
+            method=config.method,
+        ),
+        config,
+    )
+    scalar_service = _service(config)
+    batch_service = _service(config)
+
+    # Reference: the same stream through the engine's scalar writes.
+    reference_outcomes = [_apply_scalar(reference, op) for op in stream]
 
     # Scalar leg: one service call per write.
     start = time.perf_counter()
@@ -336,35 +385,43 @@ def run_update_bench(config: UpdateBenchConfig) -> UpdateBenchReport:
     vector_s = time.perf_counter() - start
 
     divergences: List[str] = []
-    for i, (want, got) in enumerate(zip(scalar_outcomes, vector_outcomes)):
-        if (want is None) != (got is None):
-            divergences.append(f"outcome[{i}]: {want!r} vs {got!r}")
-        elif want is not None and (
-            type(want) is not type(got) or str(want) != str(got)
+    legs = (
+        ("scalar", scalar_service, scalar_outcomes),
+        ("batched", batch_service, vector_outcomes),
+    )
+    for i, want in enumerate(reference_outcomes):
+        scalar_got, batch_got = scalar_outcomes[i], vector_outcomes[i]
+        if not type(want) is type(scalar_got) is type(batch_got) or (
+            str(scalar_got) != str(batch_got)
         ):
-            divergences.append(f"outcome[{i}]: {want!r} vs {got!r}")
+            divergences.append(
+                f"outcome[{i}]: reference {want!r}, scalar "
+                f"{scalar_got!r}, batched {batch_got!r}"
+            )
 
-    want_catalog = {
-        oid: (m.y0, m.v, m.t0)
-        for oid, m in scalar_service.motion_snapshot().items()
-    }
-    got_catalog = {
-        oid: (m.y0, m.v, m.t0)
-        for oid, m in batch_service.motion_snapshot().items()
-    }
-    if want_catalog != got_catalog:
-        delta = set(want_catalog.items()) ^ set(got_catalog.items())
-        divergences.append(
-            f"catalog: {len(delta)} differing entries "
-            f"(sample {sorted(delta)[:3]})"
-        )
+    want_catalog = _catalog(reference)
+    for leg, service, _ in legs:
+        got_catalog = _catalog(service)
+        if want_catalog != got_catalog:
+            delta = set(want_catalog.items()) ^ set(got_catalog.items())
+            divergences.append(
+                f"{leg} catalog: {len(delta)} entries differ from the "
+                f"reference (sample {sorted(delta)[:3]})"
+            )
 
     probes = _probe_stream(rng, config)
+    motions = reference.motion_snapshot()
     for i, probe in enumerate(probes):
-        want = _answer(scalar_service, probe)
-        got = _answer(batch_service, probe)
-        if want != got:
-            divergences.append(f"probe[{i}] {probe[0]}: answers differ")
+        want = _answer(reference, probe)
+        if want != _scan(motions, probe):
+            divergences.append(
+                f"probe[{i}] {probe[0]}: reference differs from a scan"
+            )
+        for leg, service, _ in legs:
+            if _answer(service, probe) != want:
+                divergences.append(
+                    f"probe[{i}] {probe[0]}: {leg} answer differs"
+                )
 
     report = UpdateBenchReport(
         config=config,
